@@ -144,7 +144,7 @@ let () =
   | None -> fail "missing counter \"meeting_matrix.row_builds\"");
   if counter "rapid.rank_calls" = None then
     fail "missing counter \"rapid.rank_calls\"";
-  (* Indexed-buffer / send-queue instrumentation: snapshot rebuilds and
+  (* Indexed-buffer / send-queue instrumentation: on-demand id sorts and
      per-contact planning register at module init, so the keys must be
      present in any run. *)
   List.iter

@@ -154,47 +154,56 @@ let figure_cmd =
 
 (* ------------------------------------------------------------------ *)
 
+let protocol_names =
+  [ "rapid"; "rapid-global"; "rapid-local"; "maxprop"; "spraywait";
+    "prophet"; "random"; "random-acks"; "epidemic"; "direct" ]
+
+let metric_names = [ "avg"; "max"; "deadline" ]
+
+(* An unknown name on the command line lists the valid ones and exits 2,
+   as an unknown artifact id does. *)
+let unknown_name what name valid =
+  Printf.eprintf "unknown %s %S; valid names:\n" what name;
+  List.iter (Printf.eprintf "  %s\n") valid;
+  exit 2
+
 let protocol_conv metric =
   let open Rapid_core in
   function
-  | "rapid" -> Ok (Runners.rapid metric)
+  | "rapid" -> Runners.rapid metric
   | "rapid-global" ->
-      Ok
-        (Runners.rapid_with ~label:"RAPID(global)"
-           {
-             (Rapid.default_params metric) with
-             Rapid.channel = Control_channel.Instant_global;
-           })
-  | "rapid-local" ->
-      Ok
-        (Runners.rapid_with ~label:"RAPID(local)"
-           {
-             (Rapid.default_params metric) with
-             Rapid.channel = Control_channel.Local_only;
-           })
-  | "maxprop" -> Ok Runners.maxprop
-  | "spraywait" -> Ok Runners.spray_wait
-  | "prophet" -> Ok Runners.prophet
-  | "random" -> Ok Runners.random
-  | "random-acks" -> Ok Runners.random_acks
-  | "epidemic" ->
-      Ok
+      Runners.rapid_with ~label:"RAPID(global)"
         {
-          Runners.label = "Epidemic";
-          cache_id = "epidemic";
-          make = (fun () -> Rapid_routing.Epidemic.make ());
+          (Rapid.default_params metric) with
+          Rapid.channel = Control_channel.Instant_global;
         }
+  | "rapid-local" ->
+      Runners.rapid_with ~label:"RAPID(local)"
+        {
+          (Rapid.default_params metric) with
+          Rapid.channel = Control_channel.Local_only;
+        }
+  | "maxprop" -> Runners.maxprop
+  | "spraywait" -> Runners.spray_wait
+  | "prophet" -> Runners.prophet
+  | "random" -> Runners.random
+  | "random-acks" -> Runners.random_acks
+  | "epidemic" ->
+      {
+        Runners.label = "Epidemic";
+        cache_id = "epidemic";
+        make = (fun () -> Rapid_routing.Epidemic.make ());
+      }
   | "direct" ->
-      Ok
-        { Runners.label = "Direct"; cache_id = "direct";
-          make = (fun () -> Rapid_routing.Direct.make ()) }
-  | s -> Error (Printf.sprintf "unknown protocol %S" s)
+      { Runners.label = "Direct"; cache_id = "direct";
+        make = (fun () -> Rapid_routing.Direct.make ()) }
+  | name -> unknown_name "protocol" name protocol_names
 
 let metric_of_string = function
-  | "avg" -> Ok Rapid_core.Metric.Average_delay
-  | "max" -> Ok Rapid_core.Metric.Maximum_delay
-  | "deadline" -> Ok Rapid_core.Metric.Missed_deadlines
-  | s -> Error (Printf.sprintf "unknown metric %S (avg|max|deadline)" s)
+  | "avg" -> Rapid_core.Metric.Average_delay
+  | "max" -> Rapid_core.Metric.Maximum_delay
+  | "deadline" -> Rapid_core.Metric.Missed_deadlines
+  | name -> unknown_name "metric" name metric_names
 
 let run_cmd =
   let doc = "Run one protocol over synthetic DieselNet days and print the report." in
@@ -202,14 +211,12 @@ let run_cmd =
     Arg.(
       value & opt string "rapid"
       & info [ "protocol" ] ~docv:"NAME"
-          ~doc:
-            "rapid | rapid-global | rapid-local | maxprop | spraywait | \
-             prophet | random | random-acks | epidemic | direct")
+          ~doc:(String.concat " | " protocol_names))
   in
   let metric_arg =
     Arg.(
       value & opt string "avg"
-      & info [ "metric" ] ~docv:"METRIC" ~doc:"RAPID metric: avg | max | deadline.")
+      & info [ "metric" ] ~docv:"METRIC" ~doc:("RAPID metric: " ^ String.concat " | " metric_names ^ "."))
   in
   let load_arg =
     Arg.(
@@ -237,102 +244,93 @@ let run_cmd =
       faults cache_dir =
     Rapid_par.Pool.set_jobs jobs;
     Runners.set_cache_dir cache_dir;
-    match metric_of_string metric_name with
-    | Error e ->
-        prerr_endline e;
-        exit 1
-    | Ok metric -> (
-        match protocol_conv metric proto with
-        | Error e ->
-            prerr_endline e;
-            exit 1
-        | Ok spec ->
-            let params = Params.get profile in
-            let with_tracer f =
-              match events_path with
-              | None -> f Rapid_obs.Tracer.null
-              | Some path ->
-                  let oc = open_out path in
-                  Fun.protect
-                    ~finally:(fun () -> close_out oc)
-                    (fun () -> f (Rapid_obs.Tracer.Jsonl.tracer oc))
-            in
-            let reports =
-              with_tracer (fun tracer ->
-                  match trace_file with
-                  | Some path ->
-                      let trace = Rapid_trace.Trace_io.load path in
-                      let rng =
-                        Rapid_prelude.Rng.create params.Params.base_seed
-                      in
-                      let workload =
-                        Rapid_trace.Workload.generate rng ~trace
-                          ~pkts_per_hour_per_dest:load
-                          ~size:params.Params.trace_packet_bytes
-                          ~lifetime:params.Params.trace_deadline ()
-                      in
-                      [
-                        (Rapid_sim.Engine.run ~tracer
-                           ~options:
-                             {
-                               Rapid_sim.Engine.default_options with
-                               Rapid_sim.Engine.faults;
-                             }
-                           ~protocol:(spec.Runners.make ()) ~trace ~workload ())
-                          .Rapid_sim.Engine.report;
-                      ]
-                  | None ->
-                      if Rapid_obs.Tracer.enabled tracer then
-                        (* Tracing needs live runs, not cached reports —
-                           and a single ordered event stream, so this
-                           path stays sequential regardless of --jobs. *)
-                        List.init params.Params.days (fun day ->
-                            let trace = Runners.trace_day ~params ~day in
-                            let workload =
-                              Runners.trace_workload ~params ~trace ~load ~day
-                            in
-                            (Rapid_sim.Engine.run ~tracer
-                               ~options:
-                                 {
-                                   Rapid_sim.Engine.buffer_bytes =
-                                     params.Params.trace_buffer_bytes;
-                                   meta_cap_frac = None;
-                                   seed = params.Params.base_seed + day;
-                                   faults;
-                                 }
-                               ~protocol:(spec.Runners.make ()) ~trace ~workload
-                               ())
-                              .Rapid_sim.Engine.report)
-                      else
-                        Runners.run_trace_point ~params ~protocol:spec ~load
-                          ~spec:{ Runners.default_spec with Runners.faults }
-                          ())
-            in
-            List.iteri
-              (fun day r ->
-                Format.printf "day %d %s: %a@." day spec.Runners.label
-                  Rapid_sim.Metrics.pp_report r)
-              reports;
-            Option.iter
-              (fun path ->
-                let open Rapid_obs in
-                Json.to_file path
-                  (Json.Obj
-                     [
-                       ("schema", Json.String "rapid-run/1");
-                       ("protocol", Json.String spec.Runners.label);
-                       ("metric", Json.String metric_name);
-                       ("load", Json.Float load);
-                       ("profile", Json.String (profile_string profile));
-                       ( "reports",
-                         Json.List
-                           (List.map Rapid_sim.Metrics.report_to_json reports)
-                       );
-                       ("counters", Counter.to_json ());
-                     ]);
-                Printf.printf "wrote %s\n" path)
-              json_path;
-            report_store_traffic ())
+    let spec = protocol_conv (metric_of_string metric_name) proto in
+    let params = Params.get profile in
+    let with_tracer f =
+      match events_path with
+      | None -> f Rapid_obs.Tracer.null
+      | Some path ->
+          let oc = open_out path in
+          Fun.protect
+            ~finally:(fun () -> close_out oc)
+            (fun () -> f (Rapid_obs.Tracer.Jsonl.tracer oc))
+    in
+    let reports =
+      with_tracer (fun tracer ->
+          match trace_file with
+          | Some path ->
+              let trace = Rapid_trace.Trace_io.load path in
+              let rng =
+                Rapid_prelude.Rng.create params.Params.base_seed
+              in
+              let workload =
+                Rapid_trace.Workload.generate rng ~trace
+                  ~pkts_per_hour_per_dest:load
+                  ~size:params.Params.trace_packet_bytes
+                  ~lifetime:params.Params.trace_deadline ()
+              in
+              [
+                (Rapid_sim.Engine.run ~tracer
+                   ~options:
+                     {
+                       Rapid_sim.Engine.default_options with
+                       Rapid_sim.Engine.faults;
+                     }
+                   ~protocol:(spec.Runners.make ()) ~trace ~workload ())
+                  .Rapid_sim.Engine.report;
+              ]
+          | None ->
+              if Rapid_obs.Tracer.enabled tracer then
+                (* Tracing needs live runs, not cached reports —
+                   and a single ordered event stream, so this
+                   path stays sequential regardless of --jobs. *)
+                List.init params.Params.days (fun day ->
+                    let trace = Runners.trace_day ~params ~day in
+                    let workload =
+                      Runners.trace_workload ~params ~trace ~load ~day
+                    in
+                    (Rapid_sim.Engine.run ~tracer
+                       ~options:
+                         {
+                           Rapid_sim.Engine.buffer_bytes =
+                             params.Params.trace_buffer_bytes;
+                           meta_cap_frac = None;
+                           seed = params.Params.base_seed + day;
+                           faults;
+                         }
+                       ~protocol:(spec.Runners.make ()) ~trace ~workload
+                       ())
+                      .Rapid_sim.Engine.report)
+              else
+                Runners.run_trace_point ~params ~protocol:spec ~load
+                  ~spec:{ Runners.default_spec with Runners.faults }
+                  ())
+    in
+    List.iteri
+      (fun day r ->
+        Format.printf "day %d %s: %a@." day spec.Runners.label
+          Rapid_sim.Metrics.pp_report r)
+      reports;
+    Option.iter
+      (fun path ->
+        let open Rapid_obs in
+        Json.to_file path
+          (Json.Obj
+             [
+               ("schema", Json.String "rapid-run/1");
+               ("protocol", Json.String spec.Runners.label);
+               ("metric", Json.String metric_name);
+               ("load", Json.Float load);
+               ("profile", Json.String (profile_string profile));
+               ( "reports",
+                 Json.List
+                   (List.map Rapid_sim.Metrics.report_to_json reports)
+               );
+               ("counters", Counter.to_json ());
+             ]);
+        Printf.printf "wrote %s\n" path)
+      json_path;
+    report_store_traffic ()
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
@@ -387,16 +385,12 @@ let ttest_cmd =
   in
   let run profile a b load =
     let metric = Rapid_core.Metric.Average_delay in
-    match (protocol_conv metric a, protocol_conv metric b) with
-    | Error e, _ | _, Error e ->
-        prerr_endline e;
-        exit 1
-    | Ok sa, Ok sb ->
-        let params = Params.get profile in
-        let result = Pair_ttest.compare_protocols ~params ~a:sa ~b:sb ~load in
-        print_string
-          (Pair_ttest.render ~a_label:sa.Runners.label ~b_label:sb.Runners.label
-             ~load result)
+    let sa = protocol_conv metric a and sb = protocol_conv metric b in
+    let params = Params.get profile in
+    let result = Pair_ttest.compare_protocols ~params ~a:sa ~b:sb ~load in
+    print_string
+      (Pair_ttest.render ~a_label:sa.Runners.label ~b_label:sb.Runners.label
+         ~load result)
   in
   Cmd.v (Cmd.info "ttest" ~doc)
     Term.(const run $ profile_arg $ proto "a" "rapid" $ proto "b" "maxprop" $ load_arg)

@@ -40,23 +40,6 @@ let c_meta_ack_bytes = Rapid_obs.Counter.create "rapid.meta_ack_bytes"
 let c_meta_table_bytes = Rapid_obs.Counter.create "rapid.meta_table_bytes"
 let c_meta_entry_bytes = Rapid_obs.Counter.create "rapid.meta_entry_bytes"
 
-(* Cached victim ordering for storage adaptation: within one eviction
-   burst (same decision instant, same node) the engine asks for victims
-   one at a time; the per-byte local-loss scores of the survivors do not
-   change between those calls (only the dropped packet's own holder entry
-   is removed), so the whole ordering is computed once and served from a
-   cursor. Any event that can move a score or the candidate set
-   (contact, transfer, packet creation, reboot) invalidates the plan. *)
-type victim_plan = {
-  mutable v_valid : bool;
-  mutable v_node : int;
-  mutable v_now : float;
-  mutable v_own : bool;  (* plan may offer the node's own packets *)
-  mutable v_packets : Packet.t array;
-  mutable v_len : int;
-  mutable v_cursor : int;
-}
-
 (* One destination cell of a node's position index: that destination's
    buffered packets as (created, id, size) triples sorted in delivery
    order, plus byte prefix sums, stamped with the (node, dst) cell
@@ -72,13 +55,9 @@ type pos_cell = {
    only the destination cells whose (node, dst) version moved and keeps
    every other cell untouched — the kept cells are bit-identical to what
    a from-scratch rebuild would produce, because an unmoved version pins
-   the cell's entry set. [pi_refresh_epoch] mirrors the epoch the
-   pre-incremental refresh-level cache recorded at its last miss; it
-   exists only so the build counter keeps its old values (see
-   [sync_index]). *)
+   the cell's entry set. *)
 type pos_index = {
   mutable pi_epoch : int;
-  mutable pi_refresh_epoch : int;
   pi_cells : (int, pos_cell) Hashtbl.t;  (* dst -> cell *)
 }
 
@@ -119,7 +98,6 @@ let make params : Protocol.packed =
          destination cells whose (node, dst) cell version moved since
          they were built and reuses every other cell bit-identically. *)
       pos_cache : (int, pos_index) Hashtbl.t;
-      victim : victim_plan;
       (* Believed-rate cache (Eq. 9): rates stamped with
          (Replica_db.version, Meeting_matrix.row_version) and reused
          until either input moves. See Rate_cache / DESIGN §3a. *)
@@ -197,16 +175,6 @@ let make params : Protocol.packed =
         meta_backlog = Hashtbl.create 16;
         contact_indexes = Hashtbl.create 4;
         pos_cache = Hashtbl.create 16;
-        victim =
-          {
-            v_valid = false;
-            v_node = -1;
-            v_now = nan;
-            v_own = false;
-            v_packets = [||];
-            v_len = 0;
-            v_cursor = 0;
-          };
         rcache = Rate_cache.create ~num_nodes:n;
         contact_seq = 0;
         cell_ver = Dense.Int_mat.create n;
@@ -349,38 +317,30 @@ let make params : Protocol.packed =
        delivery order (created, then id) with byte prefix sums, so the
        would-be queue position of any packet is a binary search instead of
        a buffer scan per candidate. The index is persistent and synced
-       incrementally: when the buffer epoch moved, one walk collects the
-       entries of destinations whose cell version changed (into the
-       reused [t.scratch_by_dst] arena), only those cells are re-sorted,
-       and cells whose version moved but have no surviving entries are
-       dropped. Unchanged-version cells are reused as-is.
-
-       Counter discipline: [c_position_index_builds] lands in hashed
-       report JSON, so it must keep the values of the from-scratch build
-       it replaces. That build was counted at two miss sites — the
-       refresh-level epoch cache (whose recorded epoch only refresh_own
-       advanced) and the per-contact cache's fallback through it — so the
-       increments live at those call sites (keyed on [pi_refresh_epoch]),
-       not here: a sync is the build made cheap, not a new countable
-       event. *)
+       incrementally: when the buffer epoch moved, one slot-order walk
+       collects the entries of destinations whose cell version changed
+       (into the reused [t.scratch_by_dst] arena), only those cells are
+       re-sorted (a total order, so the walk order never shows), and cells
+       whose version moved but have no surviving entries are dropped.
+       Unchanged-version cells are reused as-is. [c_position_index_builds]
+       counts these syncs. *)
     let sync_index t node =
       let pi =
         match Hashtbl.find_opt t.pos_cache node with
         | Some pi -> pi
         | None ->
-            let pi =
-              { pi_epoch = -1; pi_refresh_epoch = -1;
-                pi_cells = Hashtbl.create 16 }
-            in
+            let pi = { pi_epoch = -1; pi_cells = Hashtbl.create 16 } in
             Hashtbl.replace t.pos_cache node pi;
             pi
       in
-      let ep = Buffer.epoch t.env.Env.buffers.(node) in
+      let buffer = t.env.Env.buffers.(node) in
+      let ep = Buffer.epoch buffer in
       if pi.pi_epoch <> ep then begin
+        Rapid_obs.Counter.incr c_position_index_builds;
         let by_dst = t.scratch_by_dst in
         Hashtbl.reset by_dst;
-        List.iter
-          (fun (e : Buffer.entry) ->
+        Buffer.fold_unordered buffer ~init:()
+          ~f:(fun () (e : Buffer.entry) ->
             let p = e.packet in
             let dst = p.Packet.dst in
             let stale =
@@ -398,8 +358,7 @@ let make params : Protocol.packed =
                     c
               in
               cell := (p.Packet.created, p.Packet.id, p.Packet.size) :: !cell
-            end)
-          (Env.buffered_entries t.env node);
+            end);
         (* A cell whose version moved but collected nothing lost its last
            entry (drop / delivery / ack purge): remove it, as a rebuild
            would. Unmoved versions are untouchable — every buffer
@@ -461,7 +420,6 @@ let make params : Protocol.packed =
       else a -. a'
 
     let on_created t ~now (p : Packet.t) =
-      t.victim.v_valid <- false;
       bump_cell t p.Packet.src p.Packet.dst;
       let n = n_meet_created t ~node:p.Packet.src ~packet:p in
       own_set t p.Packet.src p.Packet.id n;
@@ -515,11 +473,6 @@ let make params : Protocol.packed =
           idx
       | None ->
           let idx = sync_index t node in
-          (* Count a build iff the refresh-level cache would have missed
-             (its epoch record is only advanced by refresh_own, matching
-             the cache this discipline replaces). *)
-          if idx.pi_refresh_epoch <> Buffer.epoch t.env.Env.buffers.(node)
-          then Rapid_obs.Counter.incr c_position_index_builds;
           Hashtbl.replace t.contact_indexes node (t.contact_seq, idx);
           idx
 
@@ -545,7 +498,7 @@ let make params : Protocol.packed =
       let recv_index = cached_index t receiver in
       t.memo_gen <- t.memo_gen + 1;
       t.plan_len <- 0;
-      (* One walk over the sender's buffer snapshot — no materialized
+      (* One slot-order walk over the sender's buffer — no materialized
          candidate / direct / rest lists. Sound because every downstream
          order is a total-order sort (id tie-breaks everywhere), so the
          walk order never shows in the output. Direct-to-receiver packets
@@ -556,8 +509,8 @@ let make params : Protocol.packed =
          ranking below reads. Both orders are "key descending, id
          ascending", so one comparator serves every metric. *)
       let direct =
-        List.fold_left
-          (fun direct (e : Buffer.entry) ->
+        Buffer.fold_unordered t.env.Env.buffers.(sender) ~init:[]
+          ~f:(fun direct (e : Buffer.entry) ->
             let p = e.packet in
             if Env.has_packet t.env ~node:receiver ~packet:p then direct
             else if p.Packet.dst = receiver then e :: direct
@@ -636,8 +589,6 @@ let make params : Protocol.packed =
               end;
               direct
             end)
-          []
-          (Env.buffered_entries t.env sender)
       in
       push_direct t ~now direct;
       (* Rank an index permutation through the shared arena; key and id
@@ -668,16 +619,7 @@ let make params : Protocol.packed =
          inputs (pair sample count) are untouched since the last refresh
          reproduces the exact n_meet of that refresh for every entry, so
          its hysteresis verdicts stand and the whole cell is skipped. *)
-      (* Unconditional snapshot fetch, as before the incremental index:
-         keeps the lazy snapshot-rebuild accounting (buffer.rebuilds)
-         identical run for run. *)
-      ignore (Env.buffered_entries t.env node : Buffer.entry list);
-      let ep = Buffer.epoch t.env.Env.buffers.(node) in
       let index = sync_index t node in
-      if index.pi_refresh_epoch <> ep then begin
-        Rapid_obs.Counter.incr c_position_index_builds;
-        index.pi_refresh_epoch <- ep
-      end;
       let vers, counts =
         match Hashtbl.find_opt t.refresh_memo node with
         | Some memo -> memo
@@ -739,22 +681,24 @@ let make params : Protocol.packed =
 
     let purge_delivered_instantly t ~now ~node =
       (* Instant-global acknowledgments: any buffered copy of an
-         already-delivered packet is cleared on the spot. The env hook is
-         how the run accounts the purge (exactly once, in Metrics). *)
+         already-delivered packet is cleared on the spot, in ascending id
+         order. The env hook is how the run accounts the purge (exactly
+         once, in Metrics). *)
       let buffer = t.env.Env.buffers.(node) in
       let victims =
-        List.filter
-          (fun (e : Buffer.entry) ->
-            Env.is_delivered t.env e.packet.Packet.id)
-          (Env.buffered_entries t.env node)
+        Buffer.fold_unordered buffer ~init:[] ~f:(fun acc (e : Buffer.entry) ->
+            if Env.is_delivered t.env e.packet.Packet.id then e.packet :: acc
+            else acc)
+        |> List.sort (fun (a : Packet.t) (b : Packet.t) ->
+               Int.compare a.Packet.id b.Packet.id)
       in
       List.iter
-        (fun (e : Buffer.entry) ->
-          match Buffer.remove buffer e.packet.Packet.id with
+        (fun (p : Packet.t) ->
+          match Buffer.remove buffer p.Packet.id with
           | Some _ ->
-              bump_cell t node e.packet.Packet.dst;
-              t.env.Env.on_ack_purge ~now ~node e.packet;
-              Replica_db.remove_packet t.truth ~packet_id:e.packet.Packet.id
+              bump_cell t node p.Packet.dst;
+              t.env.Env.on_ack_purge ~now ~node p;
+              Replica_db.remove_packet t.truth ~packet_id:p.Packet.id
           | None -> ())
         victims
 
@@ -898,7 +842,6 @@ let make params : Protocol.packed =
 
     let on_contact t { Protocol.now; a; b; budget; meta_budget; meta_ok } =
       Send_queue.begin_contact t.queue;
-      t.victim.v_valid <- false;
       t.contact_seq <- t.contact_seq + 1;
       Hashtbl.reset t.contact_indexes;
       Meeting_matrix.observe t.matrix ~now ~a ~b;
@@ -1000,7 +943,6 @@ let make params : Protocol.packed =
       Send_queue.next t.queue t.env ~sender ~receiver ~budget
 
     let on_transfer t ~now ~sender ~receiver (p : Packet.t) ~delivered =
-      t.victim.v_valid <- false;
       (* Delivery removes the sender's copy; a relay adds the receiver's. *)
       bump_cell t (if delivered then sender else receiver) p.Packet.dst;
       let id = p.Packet.id in
@@ -1069,79 +1011,36 @@ let make params : Protocol.packed =
                 else if not (Float.is_finite a') then big_delay -. a
                 else a' -. a)
 
-    (* Victims sorted cheapest-per-byte first (float ties broken by id,
-       matching the first-among-ties fold this replaces). *)
-    let build_victim_plan t ~now ~node ~own entries =
-      let v = t.victim in
-      let arr =
-        Array.of_list
-          (List.map
-             (fun (e : Buffer.entry) ->
-               let p = e.packet in
-               (p, local_loss t ~now ~node p /. float_of_int p.Packet.size))
-             entries)
-      in
-      Array.sort
-        (fun ((px : Packet.t), sx) ((py : Packet.t), sy) ->
-          match Float.compare sx sy with
-          | 0 -> Int.compare px.Packet.id py.Packet.id
-          | n -> n)
-        arr;
-      v.v_packets <- Array.map fst arr;
-      v.v_len <- Array.length arr;
-      v.v_cursor <- 0;
-      v.v_valid <- true;
-      v.v_node <- node;
-      v.v_now <- now;
-      v.v_own <- own
-
     let drop_candidate t ~now ~node ~incoming =
       (* Foreign replicas are evicted before anything else; a source's own
          packets are protected (§3.4) — except that a source creating a new
          packet may replace its own lowest-utility one (the alternative
-         would deadlock a full source buffer forever). *)
-      let v = t.victim in
-      let fresh_plan ~own =
-        let all = Env.buffered_entries t.env node in
-        let entries =
-          if own then all
-          else
-            List.filter
-              (fun (e : Buffer.entry) -> e.packet.Packet.src <> node)
-              all
-        in
-        build_victim_plan t ~now ~node ~own entries
+         would deadlock a full source buffer forever). The victim is the
+         cheapest local loss per byte, the smaller id breaking ties. Each
+         call rescans: inside one eviction burst only [on_dropped] runs,
+         and it touches only the victim's own holder entry, so the
+         survivors' scores are what the previous call saw. *)
+      let cheapest ~own =
+        Buffer.fold_unordered t.env.Env.buffers.(node) ~init:None
+          ~f:(fun acc (e : Buffer.entry) ->
+            let p = e.packet in
+            if (p.Packet.src = node) <> own then acc
+            else begin
+              let s = local_loss t ~now ~node p /. float_of_int p.Packet.size in
+              match acc with
+              | Some ((best : Packet.t), bs)
+                when Float.compare bs s < 0
+                     || (Float.compare bs s = 0 && best.Packet.id < p.Packet.id)
+                ->
+                  acc
+              | _ -> Some (p, s)
+            end)
       in
-      if not (v.v_valid && v.v_node = node && v.v_now = now) then
-        fresh_plan ~own:false;
-      let buf = t.env.Env.buffers.(node) in
-      (* Serve the cheapest victim still buffered; already-dropped plan
-         entries are skipped for good. The cursor stays on the served
-         packet — the engine drops it, which is what retires it. *)
-      let rec serve () =
-        if v.v_cursor >= v.v_len then None
-        else begin
-          let p = v.v_packets.(v.v_cursor) in
-          if Buffer.mem buf p.Packet.id then Some p
-          else begin
-            v.v_cursor <- v.v_cursor + 1;
-            serve ()
-          end
-        end
-      in
-      match serve () with
-      | Some p -> Some p
-      | None ->
-          (* No foreign replica left: a source squeezing in its own new
-             packet may evict its own cheapest copy; anyone else refuses.
-             The buffer cannot have regained foreign copies since the plan
-             was built (additions invalidate it), so the own-packet plan
-             is built over what remains. *)
-          if (not v.v_own) && incoming.Packet.src = node then begin
-            fresh_plan ~own:true;
-            serve ()
-          end
-          else None
+      match cheapest ~own:false with
+      | Some (p, _) -> Some p
+      | None when incoming.Packet.src = node ->
+          Option.map fst (cheapest ~own:true)
+      | None -> None
 
     let on_dropped t ~now:_ ~node (p : Packet.t) =
       bump_cell t node p.Packet.dst;
@@ -1151,7 +1050,6 @@ let make params : Protocol.packed =
         ~holder_id:node
 
     let on_reboot t ~now:_ ~node ~lost =
-      t.victim.v_valid <- false;
       (* The emptied buffer invalidates every cell verdict at once. The
          positional index must go too: a reboot clears the buffer without
          bumping (node, dst) cell versions, so an incremental sync would

@@ -17,6 +17,9 @@ let make ?(ack_entry_bytes = 8) ?(vector_entry_bytes = 12) () : Protocol.packed 
          decisions during heavy eviction would otherwise recompute them
          per evicted packet. *)
       cost_cache : (int, float array) Hashtbl.t;
+      (* hop_bytes.(h): buffered bytes at hop count h, scratch for
+         [hop_threshold]; all zero between calls. *)
+      mutable hop_bytes : int array;
     }
 
     let name = "MaxProp"
@@ -35,6 +38,7 @@ let make ?(ack_entry_bytes = 8) ?(vector_entry_bytes = 12) () : Protocol.packed 
         view = Array.init n (fun _ -> Array.make n None);
         avg_transfer = Moving_average.Cumulative.create ();
         cost_cache = Hashtbl.create 4;
+        hop_bytes = [||];
       }
 
     let bump_likelihood t ~node ~met =
@@ -97,26 +101,39 @@ let make ?(ack_entry_bytes = 8) ?(vector_entry_bytes = 12) () : Protocol.packed 
       | n -> n
 
     (* Adaptive hop-count threshold: the head of the buffer (packets sorted
-       by hops) claims up to half the expected transfer opportunity. *)
+       by hops) claims up to half the expected transfer opportunity. The
+       answer is the first hop group whose cumulative bytes exceed that
+       share (max hops + 1 if none does, 0 for an empty buffer), so a
+       bytes-per-hop histogram replaces sorting the buffer; integer sums
+       make the comparison exact. *)
     let hop_threshold t ~sender =
-      let entries = Env.buffered_entries t.env sender in
-      let avg =
+      let max_hops =
+        Buffer.fold_unordered t.env.Env.buffers.(sender) ~init:(-1)
+          ~f:(fun m (e : Buffer.entry) ->
+            let cap = Array.length t.hop_bytes in
+            if e.hops >= cap then begin
+              let g = Array.make (max 16 (2 * (e.hops + 1))) 0 in
+              Array.blit t.hop_bytes 0 g 0 cap;
+              t.hop_bytes <- g
+            end;
+            t.hop_bytes.(e.hops) <- t.hop_bytes.(e.hops) + e.packet.Packet.size;
+            max m e.hops)
+      in
+      let bytes = t.hop_bytes in
+      let head_target =
         Moving_average.Cumulative.value_or t.avg_transfer ~default:infinity
+        /. 2.0
       in
-      let head_target = avg /. 2.0 in
-      let sorted =
-        List.sort
-          (fun (x : Buffer.entry) (y : Buffer.entry) -> Int.compare x.hops y.hops)
-          entries
+      let rec scan h cum =
+        if h > max_hops then h
+        else
+          let cum = cum + bytes.(h) in
+          if bytes.(h) > 0 && float_of_int cum > head_target then h
+          else scan (h + 1) cum
       in
-      let rec scan acc_bytes threshold = function
-        | [] -> threshold
-        | (e : Buffer.entry) :: rest ->
-            let acc_bytes = acc_bytes +. float_of_int e.packet.Packet.size in
-            if acc_bytes > head_target then e.hops
-            else scan acc_bytes (e.hops + 1) rest
-      in
-      scan 0.0 0 sorted
+      let threshold = scan 0 0 in
+      Array.fill bytes 0 (max_hops + 1) 0;
+      threshold
 
     let plan t ~sender ~receiver =
       Send_queue.begin_plan t.queue t.env ~sender ~receiver;
@@ -181,19 +198,23 @@ let make ?(ack_entry_bytes = 8) ?(vector_entry_bytes = 12) () : Protocol.packed 
 
     let drop_candidate t ~now:_ ~node ~incoming:_ =
       (* Tail eviction: most-replicated (highest hops) first, then the
-         packet with the worst delivery likelihood. *)
-      let entries = Env.buffered_entries t.env node in
+         packet with the worst delivery likelihood, then the smaller id. *)
       let costs = cached_costs t ~node in
-      let worst =
-        List.fold_left
-          (fun acc (e : Buffer.entry) ->
-            let h = e.hops and c = costs.(e.packet.Packet.dst) in
-            match acc with
-            | Some (_, bh, bc) when (bh, bc) >= (h, c) -> acc
-            | _ -> Some (e.packet, h, c))
-          None entries
+      let worse (e : Buffer.entry) (best : Buffer.entry) =
+        match Int.compare e.hops best.hops with
+        | 0 -> (
+            match
+              Float.compare costs.(e.packet.Packet.dst)
+                costs.(best.packet.Packet.dst)
+            with
+            | 0 -> e.packet.Packet.id < best.packet.Packet.id
+            | n -> n > 0)
+        | n -> n > 0
       in
-      Option.map (fun (p, _, _) -> p) worst
+      Buffer.fold_unordered t.env.Env.buffers.(node) ~init:None
+        ~f:(fun acc (e : Buffer.entry) ->
+          match acc with Some best when not (worse e best) -> acc | _ -> Some e)
+      |> Option.map (fun (e : Buffer.entry) -> e.packet)
 
     let on_dropped _ ~now:_ ~node:_ _ = ()
 

@@ -82,21 +82,22 @@ let make ~trace () : Protocol.packed =
         ignore (Buffer.remove t.env.Env.buffers.(sender) p.Packet.id)
 
     let drop_candidate t ~now ~node ~incoming:_ =
-      (* Drop the packet whose delivery prospects are worst. *)
-      let worst =
-        List.fold_left
-          (fun acc (e : Buffer.entry) ->
-            let p = e.packet in
-            let eta =
-              earliest_delivery ~now ~node ~dst:p.Packet.dst ~size:p.Packet.size
-            in
-            match acc with
-            | Some (_, best_eta) when best_eta >= eta -> acc
-            | _ -> Some (p, eta))
-          None
-          (Env.buffered_entries t.env node)
-      in
-      Option.map fst worst
+      (* Drop the packet whose delivery prospects are worst; the smaller id
+         breaks ties. *)
+      Buffer.fold_unordered t.env.Env.buffers.(node) ~init:None
+        ~f:(fun acc (e : Buffer.entry) ->
+          let p = e.packet in
+          let eta =
+            earliest_delivery ~now ~node ~dst:p.Packet.dst ~size:p.Packet.size
+          in
+          match acc with
+          | Some ((best : Packet.t), best_eta)
+            when Float.compare eta best_eta < 0
+                 || (Float.compare eta best_eta = 0 && best.Packet.id < p.Packet.id)
+            ->
+              acc
+          | _ -> Some (p, eta))
+      |> Option.map fst
 
     let on_dropped _ ~now:_ ~node:_ _ = ()
 

@@ -114,18 +114,18 @@ let make ?(p_init = 0.75) ?(beta = 0.25) ?(gamma = 0.98) ?(time_unit = 30.0)
     let on_transfer _ ~now:_ ~sender:_ ~receiver:_ _ ~delivered:_ = ()
 
     let drop_candidate t ~now:_ ~node ~incoming:_ =
-      (* Evict the packet this node is least likely to deliver. *)
-      let entries = Env.buffered_entries t.env node in
-      let worst =
-        List.fold_left
-          (fun acc (e : Buffer.entry) ->
-            let score = t.p.(node).(e.packet.Packet.dst) in
-            match acc with
-            | Some (_, s) when s <= score -> acc
-            | _ -> Some (e.packet, score))
-          None entries
+      (* Evict the packet this node is least likely to deliver; the smaller
+         id breaks ties. *)
+      let score (e : Buffer.entry) = t.p.(node).(e.packet.Packet.dst) in
+      let worse (e : Buffer.entry) (best : Buffer.entry) =
+        match Float.compare (score e) (score best) with
+        | 0 -> e.packet.Packet.id < best.packet.Packet.id
+        | n -> n < 0
       in
-      Option.map fst worst
+      Buffer.fold_unordered t.env.Env.buffers.(node) ~init:None
+        ~f:(fun acc (e : Buffer.entry) ->
+          match acc with Some best when not (worse e best) -> acc | _ -> Some e)
+      |> Option.map (fun (e : Buffer.entry) -> e.packet)
 
     let on_dropped _ ~now:_ ~node:_ _ = ()
 

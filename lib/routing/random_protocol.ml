@@ -36,9 +36,16 @@ let make ?(with_acks = false) ?(summary_vector = false) ?(ack_entry_bytes = 8)
          (any node knows who it is talking to). *)
       Send_queue.begin_plan ~check_peer:summary_vector t.queue t.env ~sender
         ~receiver;
+      (* Id order, not a slot-order walk: the shuffle below consumes its
+         input order. *)
       let entries =
-        if summary_vector then Send_queue.candidates t.env ~sender ~receiver
-        else Env.buffered_entries t.env sender
+        let all = Env.buffered_entries t.env sender in
+        if summary_vector then
+          List.filter
+            (fun (e : Buffer.entry) ->
+              not (Env.has_packet t.env ~node:receiver ~packet:e.packet))
+            all
+        else all
       in
       let direct, rest = Protocol.split_direct ~receiver entries in
       Send_queue.push_entries t.queue ~cmp:by_age direct;
@@ -74,11 +81,11 @@ let make ?(with_acks = false) ?(summary_vector = false) ?(ack_entry_bytes = 8)
       end
 
     let drop_candidate t ~now:_ ~node ~incoming:_ =
-      match Env.buffered_entries t.env node with
-      | [] -> None
-      | entries ->
-          let arr = Array.of_list entries in
-          Some (Rng.sample t.env.Env.rng arr).Buffer.packet
+      (* One uniform draw over the id-ordered buffer, selected by rank. *)
+      let buf = t.env.Env.buffers.(node) in
+      match Buffer.count buf with
+      | 0 -> None
+      | n -> Some (Buffer.nth_by_id buf (Rng.int t.env.Env.rng n)).Buffer.packet
 
     let on_dropped _ ~now:_ ~node:_ _ = ()
 

@@ -80,11 +80,11 @@ let make ?(l = 12) () : Protocol.packed =
 
     let drop_candidate t ~now:_ ~node ~incoming:_ =
       (* §6.3.2: Spray and Wait deletes packets randomly under pressure. *)
-      match Env.buffered_entries t.env node with
-      | [] -> None
-      | entries ->
-          let arr = Array.of_list entries in
-          Some (Rng.sample t.env.Env.rng arr).Buffer.packet
+      (* One uniform draw over the id-ordered buffer, selected by rank. *)
+      let buf = t.env.Env.buffers.(node) in
+      match Buffer.count buf with
+      | 0 -> None
+      | n -> Some (Buffer.nth_by_id buf (Rng.int t.env.Env.rng n)).Buffer.packet
 
     let on_dropped t ~now:_ ~node (p : Packet.t) =
       Hashtbl.remove t.tokens (key t ~node ~packet_id:p.Packet.id)

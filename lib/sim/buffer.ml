@@ -1,6 +1,7 @@
 type entry = { packet : Packet.t; received : float; hops : int }
 
-(* Counts snapshot rebuilds across all buffers (BENCH.json). *)
+(* Counts id-order sorts served by [entries], across all buffers
+   (BENCH.json). *)
 let c_rebuilds = Rapid_obs.Counter.create "buffer.rebuilds"
 
 (* Dense slot array + id->slot index. [arr.(0..len-1)] are the live
@@ -8,11 +9,11 @@ let c_rebuilds = Rapid_obs.Counter.create "buffer.rebuilds"
    iteration never touches the hash table. Unused slots may retain stale
    entry pointers (used as fill on growth) — [len] guards every read.
 
-   [epoch] moves on every mutation and versions [snapshot], the id-sorted
-   entry list handed out by [entries]: it is rebuilt at most once per
-   buffer change instead of once per call. [removals] moves only when an
+   [epoch] moves on every mutation and versions caches built from the
+   contents (RAPID's position indexes). [removals] moves only when an
    entry leaves the buffer — Send_queue cursors use it to skip per-pop
-   membership checks while no planned packet can have disappeared. *)
+   membership checks while no planned packet can have disappeared.
+   [ids] is [nth_by_id]'s selection scratch, reused call to call. *)
 type t = {
   capacity : int option;
   mutable used : int;
@@ -21,8 +22,7 @@ type t = {
   slots : (int, int) Hashtbl.t;
   mutable epoch : int;
   mutable removals : int;
-  mutable snapshot : entry list;
-  mutable snapshot_epoch : int;
+  mutable ids : int array;
   (* Live bytes per destination, maintained at add/remove/clear so
      per-destination queue totals are O(1) instead of a buffer scan. *)
   dst_bytes : (int, int) Hashtbl.t;
@@ -40,8 +40,7 @@ let create ~capacity =
     slots = Hashtbl.create 64;
     epoch = 0;
     removals = 0;
-    snapshot = [];
-    snapshot_epoch = 0;
+    ids = [||];
     dst_bytes = Hashtbl.create 16;
   }
 
@@ -123,16 +122,10 @@ let clear t =
 let cmp_id a b = Int.compare a.packet.Packet.id b.packet.Packet.id
 
 let entries t =
-  if t.snapshot_epoch <> t.epoch then begin
-    Rapid_obs.Counter.incr c_rebuilds;
-    let sorted = Array.sub t.arr 0 t.len in
-    Array.sort cmp_id sorted;
-    t.snapshot <- Array.to_list sorted;
-    t.snapshot_epoch <- t.epoch
-  end;
-  t.snapshot
-
-let fold t ~init ~f = List.fold_left f init (entries t)
+  Rapid_obs.Counter.incr c_rebuilds;
+  let sorted = Array.sub t.arr 0 t.len in
+  Array.sort cmp_id sorted;
+  Array.to_list sorted
 
 let fold_unordered t ~init ~f =
   let acc = ref init in
@@ -140,3 +133,37 @@ let fold_unordered t ~init ~f =
     acc := f !acc t.arr.(slot)
   done;
   !acc
+
+(* Quickselect (Hoare partition, middle pivot) over a copy of the live
+   ids; ids are distinct, so the k-th smallest is unique. *)
+let nth_by_id t k =
+  if k < 0 || k >= t.len then invalid_arg "Buffer.nth_by_id: index out of range";
+  if Array.length t.ids < t.len then t.ids <- Array.make (Array.length t.arr) 0;
+  let a = t.ids in
+  for slot = 0 to t.len - 1 do
+    a.(slot) <- t.arr.(slot).packet.Packet.id
+  done;
+  let lo = ref 0 and hi = ref (t.len - 1) in
+  while !lo < !hi do
+    let pivot = a.((!lo + !hi) / 2) in
+    let i = ref !lo and j = ref !hi in
+    while !i <= !j do
+      while a.(!i) < pivot do incr i done;
+      while a.(!j) > pivot do decr j done;
+      if !i <= !j then begin
+        let x = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- x;
+        incr i;
+        decr j
+      end
+    done;
+    (* [lo..j] <= pivot <= [i..hi]; anything strictly between is the pivot. *)
+    if k <= !j then hi := !j
+    else if k >= !i then lo := !i
+    else begin
+      lo := k;
+      hi := k
+    end
+  done;
+  t.arr.(Hashtbl.find t.slots a.(k))

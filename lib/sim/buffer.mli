@@ -3,13 +3,15 @@
     The engine owns one buffer per node and is the only component allowed
     to add packets (so that feasibility — storage never exceeded — is
     enforced in one place); protocols may remove packets (ack-driven
-    cleanup, §4.2) and inspect contents. Iteration order is by packet id,
-    which keeps runs deterministic.
+    cleanup, §4.2) and inspect contents.
 
     Internally the store is a dense entry array indexed by an id→slot
-    table: add/remove are O(1), and {!entries} serves a cached id-sorted
-    snapshot versioned by {!epoch}, rebuilt only after a mutation instead
-    of sorted per call. *)
+    table: add/remove are O(1). The default walk is {!fold_unordered}, in
+    slot order: deterministic for a given mutation history, but not id
+    order, so a caller whose result depends on the walk order must sort
+    by a total order afterwards or break ties on packet id. Id order is
+    available on demand: {!entries} sorts the whole buffer per call and
+    {!nth_by_id} selects one rank without sorting. *)
 
 type entry = {
   packet : Packet.t;
@@ -30,8 +32,7 @@ val count : t -> int
 
 val epoch : t -> int
 (** Bumped on every mutation (add, remove, clear); versions caches built
-    from the buffer's contents, e.g. the {!entries} snapshot and RAPID's
-    per-contact position indexes. *)
+    from the buffer's contents, e.g. RAPID's per-node position indexes. *)
 
 val removals : t -> int
 (** Bumped only when entries leave the buffer (remove, clear). While it
@@ -63,14 +64,17 @@ val clear : t -> Packet.t list
     is the only caller; consumers of the list must not depend on its
     order. *)
 
-val entries : t -> entry list
-(** Sorted by packet id. The returned list is a cached snapshot shared
-    between calls: treat it as immutable and do not hold it across
-    buffer mutations. *)
-
-val fold : t -> init:'a -> f:('a -> entry -> 'a) -> 'a
-(** Fold in packet-id order. *)
-
 val fold_unordered : t -> init:'a -> f:('a -> entry -> 'a) -> 'a
-(** Fold in slot order (hot paths that don't care about order; still
-    deterministic for a given mutation history). *)
+(** Fold in slot order: the default walk. Deterministic for a given
+    mutation history, but not packet-id order. *)
+
+val entries : t -> entry list
+(** A fresh list sorted by packet id, sorted on demand on every call
+    (counted by [buffer.rebuilds]). Only for callers that need id order,
+    e.g. a shuffle whose result depends on its input order. *)
+
+val nth_by_id : t -> int -> entry
+(** [nth_by_id t k] is the entry with the [k]-th smallest packet id
+    (0-based), i.e. [List.nth (entries t) k], found by quickselect over a
+    scratch array the buffer owns: no sort, no list. Raises
+    [Invalid_argument] unless [0 <= k < count t]. *)

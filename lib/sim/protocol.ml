@@ -100,12 +100,17 @@ module Ack_store = struct
     t.consumed.(b).(a) <- t.nodes.(b).len;
     !new_entries
 
+  (* Victims are collected in slot order, then only they are sorted
+     (descending id): removal order, and with it the [on_purge] and
+     tracer order, must not depend on the slot layout. *)
   let purge t env ~now ~node ~on_purge =
     let buffer = env.Env.buffers.(node) in
     let victims =
-      Buffer.fold buffer ~init:[] ~f:(fun acc entry ->
+      Buffer.fold_unordered buffer ~init:[] ~f:(fun acc entry ->
           let id = entry.Buffer.packet.Packet.id in
           if knows t ~node ~packet_id:id then entry.Buffer.packet :: acc else acc)
+      |> List.sort (fun (a : Packet.t) (b : Packet.t) ->
+             Int.compare b.Packet.id a.Packet.id)
     in
     List.iter
       (fun p ->

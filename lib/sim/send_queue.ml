@@ -185,7 +185,7 @@ let next t (env : Env.t) ~sender ~receiver ~budget =
       serve ()
 
 let candidates (env : Env.t) ~sender ~receiver =
-  List.filter
-    (fun (e : Buffer.entry) ->
-      not (Env.has_packet env ~node:receiver ~packet:e.packet))
-    (Env.buffered_entries env sender)
+  Buffer.fold_unordered env.Env.buffers.(sender) ~init:[]
+    ~f:(fun acc (e : Buffer.entry) ->
+      if Env.has_packet env ~node:receiver ~packet:e.packet then acc
+      else e :: acc)

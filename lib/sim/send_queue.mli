@@ -54,4 +54,6 @@ val next :
 
 val candidates : Env.t -> sender:int -> receiver:int -> Buffer.entry list
 (** Entries buffered at [sender] and absent at [receiver] — the raw input
-    protocols rank (no budget filtering; {!next} re-validates). *)
+    protocols rank (no budget filtering; {!next} re-validates). The list
+    is in no particular order (a slot-order walk): rank it with a total
+    order before pushing. *)

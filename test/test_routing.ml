@@ -316,6 +316,130 @@ let test_oracle_no_future_no_forward () =
   Alcotest.(check int) "no transfers" 0 report.Metrics.transfers
 
 (* ------------------------------------------------------------------ *)
+(* drop_candidate tie-breaks: victims are found by a slot-order scan, so
+   equal scores must fall to the smaller packet id explicitly, whatever
+   order the buffer's slots hold. *)
+
+(* Node 0 buffers ids 7, 3, 9, 5 (all to dst 2); removing 7 swaps 5
+   into slot 0, so slot order (5, 3, 9) starts with neither the smallest
+   nor the largest id. [hops] gives the replication depth per id. *)
+let tie_env ?(hops = fun _ -> 0) () =
+  let env =
+    Env.create ~num_nodes:4 ~duration:100.0 ~buffer_capacity:None ~seed:1
+  in
+  List.iter
+    (fun id ->
+      Buffer.add env.Env.buffers.(0)
+        {
+          Buffer.packet = Packet.of_spec ~id (spec ~src:1 ~dst:2 ());
+          received = 0.0;
+          hops = hops id;
+        })
+    [ 7; 3; 9; 5 ];
+  ignore (Buffer.remove env.Env.buffers.(0) 7);
+  env
+
+let drop_victim (protocol : Protocol.packed) env =
+  let (module P) = protocol in
+  let st = P.create env in
+  let incoming = Packet.of_spec ~id:20 (spec ~src:3 ~dst:2 ()) in
+  match P.drop_candidate st ~now:0.0 ~node:0 ~incoming with
+  | Some p -> p.Packet.id
+  | None -> Alcotest.fail "no victim"
+
+let test_maxprop_drop_tie_smallest_id () =
+  Alcotest.(check int) "equal hops and cost: smallest id" 3
+    (drop_victim (Maxprop.make ()) (tie_env ()));
+  (* Hops still dominate: the most-replicated copy goes first. *)
+  Alcotest.(check int) "highest hops first" 9
+    (drop_victim (Maxprop.make ())
+       (tie_env ~hops:(fun id -> if id = 9 then 2 else 1) ()));
+  Alcotest.(check int) "hop tie among the top falls to the smaller id" 5
+    (drop_victim (Maxprop.make ())
+       (tie_env ~hops:(fun id -> if id = 3 then 0 else 2) ()))
+
+let test_prophet_drop_tie_smallest_id () =
+  (* A fresh node's predictabilities are all 0: every copy ties. *)
+  Alcotest.(check int) "equal predictability: smallest id" 3
+    (drop_victim (Prophet.make ()) (tie_env ()))
+
+(* ------------------------------------------------------------------ *)
+(* Eviction goldens: every protocol's drop_candidate under binding
+   storage. One short power-law run with 20 KB buffers (20 packets of
+   1 KB) evicts on every protocol; each run is pinned by the MD5 of its
+   report JSON followed by its full tracer event stream, so drop and
+   ack-purge order are pinned too, not only the totals. Retune only for a
+   deliberate behaviour change. *)
+
+let eviction_goldens =
+  let module R = Rapid_core.Rapid in
+  let module M = Rapid_core.Metric in
+  let rapid ?(channel = Rapid_core.Control_channel.In_band) metric =
+    R.make { (R.default_params metric) with R.channel }
+  in
+  [
+    ("rapid avg", (fun _ -> rapid M.Average_delay), "c2c12aa2a7e65af7a3a9e1082d34bc66");
+    ("rapid max", (fun _ -> rapid M.Maximum_delay), "2d107642bd6b48a53576a2b35b1122f9");
+    ("rapid deadline", (fun _ -> rapid M.Missed_deadlines), "c63343377fc78e16d2df558f56cab9bd");
+    ( "rapid global",
+      (fun _ ->
+        rapid ~channel:Rapid_core.Control_channel.Instant_global
+          M.Average_delay),
+      "cf00ebc405abdc3ee17ed879fe755052" );
+    ("maxprop", (fun _ -> Maxprop.make ()), "3f919b479d5e29c91a3a730b840590f0");
+    ("spraywait", (fun _ -> Spray_wait.make ~l:12 ()), "a4bbdf3d3d7fd9a156ad284d41b8d6be");
+    ("prophet", (fun _ -> Prophet.make ()), "3ef5acfda1dc792052203f42d04d07f6");
+    ("random", (fun _ -> Random_protocol.make ()), "81121ab2c7872edc44a9f81be9594a1c");
+    ("random acks", (fun _ -> Random_protocol.make ~with_acks:true ()), "09e133a110e1ef99534200806601b5d3");
+    ( "random sv",
+      (fun _ -> Random_protocol.make ~with_acks:true ~summary_vector:true ()),
+      "19d1a42075bc16c32d3e9c1fc8950a8c" );
+    ("epidemic", (fun _ -> Epidemic.make ()), "cd634eecb6fccb19f9eaa0581351f55a");
+    ("direct", (fun _ -> Direct.make ()), "565677cddd8a7e5bff9553467110a1bc");
+    ("oracle", (fun trace -> Oracle_forwarding.make ~trace ()), "90c6d1f83eb2e7eeb6b916c8e0dec42e");
+  ]
+
+let eviction_run =
+  lazy
+    (let rng = Rapid_prelude.Rng.create 7 in
+     let trace =
+       Rapid_mobility.Mobility.powerlaw rng ~num_nodes:12
+         ~mean_inter_meeting:60.0 ~duration:300.0 ~opportunity_bytes:20_480 ()
+     in
+     let workload =
+       Workload.generate rng ~trace ~pkts_per_hour_per_dest:120.0 ~size:1024
+         ~lifetime:120.0 ()
+     in
+     (trace, workload))
+
+let test_eviction_golden (label, make, want) () =
+  let trace, workload = Lazy.force eviction_run in
+  let events = Stdlib.Buffer.create 4096 in
+  let tracer =
+    Rapid_obs.Tracer.make (fun ev ->
+        Stdlib.Buffer.add_string events
+          (Rapid_obs.Json.to_string (Rapid_obs.Tracer.event_to_json ev));
+        Stdlib.Buffer.add_char events '\n')
+  in
+  let options =
+    { Engine.default_options with buffer_bytes = Some 20_480; seed = 3 }
+  in
+  let report =
+    (Engine.run ~options ~tracer ~protocol:(make trace) ~trace ~workload ())
+      .Engine.report
+  in
+  if report.Metrics.drops = 0 then
+    Alcotest.failf "%s: the golden run never evicted" label;
+  let got =
+    Digest.to_hex
+      (Digest.string
+         (Rapid_obs.Json.to_string (Metrics.report_to_json report)
+         ^ "\n"
+         ^ Stdlib.Buffer.contents events))
+  in
+  Alcotest.(check string) (label ^ " digest") want got
+
+(* ------------------------------------------------------------------ *)
 (* Optimal *)
 
 let test_contention_free_simple () =
@@ -513,6 +637,18 @@ let () =
           Alcotest.test_case "no path no forward" `Quick
             test_oracle_no_future_no_forward;
         ] );
+      ( "drop ties",
+        [
+          Alcotest.test_case "maxprop smallest id" `Quick
+            test_maxprop_drop_tie_smallest_id;
+          Alcotest.test_case "prophet smallest id" `Quick
+            test_prophet_drop_tie_smallest_id;
+        ] );
+      ( "goldens",
+        List.map
+          (fun ((label, _, _) as golden) ->
+            Alcotest.test_case label `Quick (test_eviction_golden golden))
+          eviction_goldens );
       ( "optimal",
         [
           Alcotest.test_case "contention free" `Quick test_contention_free_simple;

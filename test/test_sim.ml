@@ -71,7 +71,12 @@ let test_buffer_entries_sorted () =
     List.map (fun (e : Buffer.entry) -> e.packet.Packet.id) (Buffer.entries b)
   in
   Alcotest.(check (list int)) "sorted" [ 1; 3; 5 ] ids;
-  Alcotest.(check int) "count" 3 (Buffer.count b)
+  Alcotest.(check int) "count" 3 (Buffer.count b);
+  Alcotest.(check int) "rank 1 by id" 3
+    (Buffer.nth_by_id b 1).Buffer.packet.Packet.id;
+  Alcotest.check_raises "rank out of range"
+    (Invalid_argument "Buffer.nth_by_id: index out of range") (fun () ->
+      ignore (Buffer.nth_by_id b 3))
 
 let test_buffer_dst_bytes () =
   (* The incremental per-destination byte totals must track every
@@ -156,13 +161,23 @@ let test_buffer_epoch_and_clear () =
   Buffer.add b (entry (packet ~id:1 ~src:0 ~dst:1 ()));
   Alcotest.(check bool) "adds bump epoch" true (Buffer.epoch b > e0);
   Alcotest.(check int) "adds do not bump removals" r0 (Buffer.removals b);
+  (* [entries] is an uncached on-demand sort: every call is one counted
+     sort and a fresh list, mutation or not. *)
+  let rebuilds () =
+    Option.value ~default:0
+      (List.assoc_opt "buffer.rebuilds" (Rapid_obs.Counter.snapshot ()))
+  in
+  let s0 = rebuilds () in
   let snap1 = Buffer.entries b in
   let snap2 = Buffer.entries b in
-  Alcotest.(check bool) "snapshot cached between calls" true (snap1 == snap2);
+  Alcotest.(check int) "each entries call is one sort" (s0 + 2) (rebuilds ());
+  Alcotest.(check bool) "fresh list per call" true (snap1 != snap2);
+  let ep = Buffer.epoch b in
   ignore (Buffer.remove b 0);
   Alcotest.(check int) "remove bumps removals" (r0 + 1) (Buffer.removals b);
-  Alcotest.(check bool) "snapshot rebuilt after mutation" true
-    (Buffer.entries b != snap1);
+  Alcotest.(check bool) "remove bumps epoch" true (Buffer.epoch b > ep);
+  Alcotest.(check (list int)) "earlier list untouched by mutation" [ 0; 1 ]
+    (List.map (fun (e : Buffer.entry) -> e.packet.Packet.id) snap1);
   Buffer.add b (entry (packet ~id:2 ~src:0 ~dst:1 ()));
   let lost = Buffer.clear b in
   Alcotest.(check (list int)) "clear returns the stored packets" [ 1; 2 ]
@@ -1005,9 +1020,36 @@ let prop_feasibility =
         && report.Metrics.delivered <= report.Metrics.created
       end)
 
+(* [nth_by_id] selects ranks without sorting; it must agree with the
+   sorted list at every rank, whatever slot layout the add / remove /
+   clear history left behind. *)
+let prop_nth_by_id_matches_entries =
+  QCheck.Test.make ~name:"nth_by_id agrees with sorted entries" ~count:300
+    QCheck.(list (pair (int_range 0 63) (int_range 0 9)))
+    (fun ops ->
+      let buf = Buffer.create ~capacity:None in
+      let agree () =
+        let sorted = Buffer.entries buf in
+        List.length sorted = Buffer.count buf
+        && List.for_all2
+             (fun k (e : Buffer.entry) -> Buffer.nth_by_id buf k == e)
+             (List.init (Buffer.count buf) Fun.id)
+             sorted
+      in
+      List.for_all
+        (fun (id, op) ->
+          (match op with
+          | 0 | 1 | 2 | 3 | 4 ->
+              if not (Buffer.mem buf id) then
+                Buffer.add buf (entry (packet ~id ~src:0 ~dst:1 ()))
+          | 5 | 6 | 7 | 8 -> ignore (Buffer.remove buf id)
+          | _ -> ignore (Buffer.clear buf));
+          agree ())
+        ops)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_feasibility; prop_buffer_matches_model ]
+    [ prop_feasibility; prop_buffer_matches_model; prop_nth_by_id_matches_entries ]
 
 let () =
   Alcotest.run "sim"
