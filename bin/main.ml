@@ -32,10 +32,41 @@ let profile_arg =
 
 let profile_string = function Params.Quick -> "quick" | Params.Full -> "full"
 
+(* Bad input exits 2 with a one-line diagnostic (see the entry point at
+   the bottom). The converters below catch what can be checked before any
+   work starts: an output file whose directory does not exist would
+   otherwise fail only after the whole artifact was computed. *)
+let out_file_conv =
+  let parse path =
+    let dir = Filename.dirname path in
+    if Sys.file_exists dir && Sys.is_directory dir then Ok path
+    else Error (`Msg (Printf.sprintf "no such directory %S" dir))
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
+let checked_conv ~expected of_string ok pp =
+  let parse s =
+    match of_string s with
+    | Some v when ok v -> Ok v
+    | Some _ | None ->
+        Error (`Msg (Printf.sprintf "invalid value %S, expected %s" s expected))
+  in
+  Arg.conv (parse, pp)
+
+let count_conv =
+  checked_conv ~expected:"a non-negative integer" int_of_string_opt
+    (fun n -> n >= 0)
+    Format.pp_print_int
+
+let load_conv =
+  checked_conv ~expected:"a non-negative finite number" float_of_string_opt
+    (fun v -> Float.is_finite v && v >= 0.0)
+    Format.pp_print_float
+
 let json_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some out_file_conv) None
     & info [ "json" ] ~docv:"PATH"
         ~doc:"Also write the result as machine-readable JSON to $(docv).")
 
@@ -220,7 +251,7 @@ let run_cmd =
   in
   let load_arg =
     Arg.(
-      value & opt float 6.0
+      value & opt load_conv 6.0
       & info [ "load" ] ~docv:"PKTS" ~doc:"Packets per hour per destination.")
   in
   let trace_file_arg =
@@ -233,7 +264,7 @@ let run_cmd =
   let events_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some out_file_conv) None
       & info [ "events" ] ~docv:"PATH"
           ~doc:
             "Stream every simulation event (contacts, transfers, \
@@ -343,7 +374,9 @@ let run_cmd =
 let trace_cmd =
   let doc = "Generate synthetic DieselNet contact traces to files." in
   let days_arg =
-    Arg.(value & opt int 5 & info [ "days" ] ~docv:"N" ~doc:"Number of days.")
+    Arg.(
+      value & opt count_conv 5
+      & info [ "days" ] ~docv:"N" ~doc:"Number of days.")
   in
   let seed_arg =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Generator seed.")
@@ -380,7 +413,7 @@ let ttest_cmd =
   in
   let load_arg =
     Arg.(
-      value & opt float 12.0
+      value & opt load_conv 12.0
       & info [ "load" ] ~docv:"PKTS" ~doc:"Packets per hour per destination.")
   in
   let run profile a b load =
@@ -483,13 +516,28 @@ let hardness_cmd =
   in
   Cmd.v (Cmd.info "hardness" ~doc) Term.(const run $ const ())
 
+(* Every bad input exits 2: a malformed flag (cmdliner's own code for it
+   is 124) and a file the OS refuses to open or create (a [Sys_error],
+   one line on stderr instead of cmdliner's internal-error trace). Other
+   exceptions are bugs and keep cmdliner's internal-error code, 125. *)
 let () =
   let doc = "RAPID: DTN routing as a resource allocation problem (reproduction)" in
   let info = Cmd.info "rapid" ~version:"1.0.0" ~doc in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            list_cmd; figure_cmd; run_cmd; trace_cmd; ttest_cmd; cache_cmd;
-            hardness_cmd;
-          ]))
+  let cmd =
+    Cmd.group info
+      [
+        list_cmd; figure_cmd; run_cmd; trace_cmd; ttest_cmd; cache_cmd;
+        hardness_cmd;
+      ]
+  in
+  let code =
+    try Cmd.eval ~catch:false cmd with
+    | Sys_error msg ->
+        Printf.eprintf "rapid: %s\n" msg;
+        2
+    | e ->
+        Printf.eprintf "rapid: internal error, uncaught exception:\n  %s\n"
+          (Printexc.to_string e);
+        Cmd.Exit.internal_error
+  in
+  exit (if code = Cmd.Exit.cli_error then 2 else code)

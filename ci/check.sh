@@ -31,10 +31,11 @@ dune exec bench/check_bench.exe -- "$BENCH_SMOKE_OUT" BENCH.baseline.json
 
 # ILP smoke: the full fig13 grid must close every instance to proven
 # optimality with the pinned golden objective on the load 2.0 / day 1
-# slice (see bench/ilp_smoke.ml). RAPID_BENCH_STRICT=1 additionally
-# hard-fails unless the sparse simplex's instrumentation is live:
-# lp.refactorizations, lp.eta_updates and both lp.presolve_*_removed
-# counters must be nonzero across the grid.
+# slice, and two 25% slices at load 2.0 must branch and still close at
+# their pinned objectives (see bench/ilp_smoke.ml). RAPID_BENCH_STRICT=1
+# additionally hard-fails unless the sparse simplex's instrumentation is
+# live: lp.refactorizations, lp.eta_updates, both lp.presolve_*_removed
+# counters and ilp.warm_starts must be nonzero across the run.
 echo "== ilp smoke =="
 RAPID_BENCH_STRICT=1 dune exec bench/ilp_smoke.exe
 
@@ -212,5 +213,24 @@ expect_exit2() {
 expect_exit2 maxprop run --protocol nosuchproto
 expect_exit2 deadline run --metric nosuchmetric
 expect_exit2 spraywait ttest -a rapid -b nosuchproto
+
+# A malformed flag exits 2 (not cmdliner's 124), and so does an output
+# the OS refuses, with a one-line diagnostic instead of a trace.
+echo "== cli bad input =="
+expect_bad_input() {
+  want="$1"; shift
+  if "$RAPID" "$@" >/dev/null 2> "$CLI_OUT"; then
+    echo "$* should fail" >&2
+    exit 1
+  else
+    [ $? -eq 2 ]
+  fi
+  grep -F "$want" "$CLI_OUT" >/dev/null
+}
+expect_bad_input 'invalid value "abc"' run --load abc
+NO_DIR="${TMPDIR:-/tmp}/rapid_no_such_dir"
+rm -rf "$NO_DIR"
+expect_bad_input "No such file or directory" trace --days 1 --out "$NO_DIR/sub"
+[ "$(wc -l < "$CLI_OUT")" -eq 1 ]
 
 echo "All checks passed."

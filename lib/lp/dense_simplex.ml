@@ -304,9 +304,9 @@ let dual t =
    all-structurals-at-lower-bound start leaves the row without an in-range
    basic slack. *)
 
-let build problem ~extra ~lb ~ub ~pivots =
+let build problem ~lb ~ub ~pivots =
   let n_struct = Lp_problem.num_vars problem in
-  let rows = Array.of_list (Lp_problem.constraints problem @ extra) in
+  let rows = Array.of_list (Lp_problem.constraints problem) in
   let m = Array.length rows in
   let residual =
     Array.map
@@ -492,7 +492,6 @@ let cold_solve t obj =
 module State = struct
   type t = {
     problem : Lp_problem.t;
-    extra : Lp_problem.constr list;
     obj : float array;
     orig_lb : float array;
     orig_ub : float array;
@@ -506,11 +505,10 @@ module State = struct
     mutable dual_ready : bool;
   }
 
-  let create ?(extra = []) problem =
+  let create problem =
     let b = Lp_problem.bounds problem in
     {
       problem;
-      extra;
       obj = Lp_problem.objective problem;
       orig_lb = Array.map fst b;
       orig_ub = Array.map snd b;
@@ -539,8 +537,7 @@ module State = struct
     end
     else begin
       let t =
-        build st.problem ~extra:st.extra ~lb:st.cur_lb ~ub:st.cur_ub
-          ~pivots:st.pivot_count
+        build st.problem ~lb:st.cur_lb ~ub:st.cur_ub ~pivots:st.pivot_count
       in
       st.tab <- Some t;
       let result, dual_ready = cold_solve t st.obj in
@@ -612,6 +609,4 @@ module State = struct
       ()
 end
 
-let solve ?(extra = []) problem =
-  let st = State.create ~extra problem in
-  State.solve_root st
+let solve problem = State.solve_root (State.create problem)

@@ -21,7 +21,7 @@ type result =
       (** Iteration cap hit before convergence; the objective is NOT a
           valid bound. *)
 
-val solve : ?extra:Lp_problem.constr list -> Lp_problem.t -> result
+val solve : Lp_problem.t -> result
 (** One-shot dense two-phase solve. *)
 
 (** Warm-startable dense solver state (dual-simplex re-solves), mirroring
@@ -29,7 +29,7 @@ val solve : ?extra:Lp_problem.constr list -> Lp_problem.t -> result
 module State : sig
   type t
 
-  val create : ?extra:Lp_problem.constr list -> Lp_problem.t -> t
+  val create : Lp_problem.t -> t
   val solve_root : t -> result
   val pivots : t -> int
 

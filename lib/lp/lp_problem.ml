@@ -12,7 +12,6 @@ type t = {
   lb : float array;
   ub : float array;
   mutable rows : constr list;  (* reversed *)
-  mutable num_rows : int;
   mutable integers : int list;
 }
 
@@ -24,7 +23,6 @@ let create ~num_vars =
     lb = Array.make num_vars 0.0;
     ub = Array.make num_vars infinity;
     rows = [];
-    num_rows = 0;
     integers = [];
   }
 
@@ -43,8 +41,7 @@ let set_objective t coeffs =
 
 let add_constraint t coeffs relation rhs =
   List.iter (fun (i, _) -> check_var t i) coeffs;
-  t.rows <- { coeffs; relation; rhs } :: t.rows;
-  t.num_rows <- t.num_rows + 1
+  t.rows <- { coeffs; relation; rhs } :: t.rows
 
 let set_lower t i l =
   check_var t i;
@@ -65,7 +62,3 @@ let mark_integer t i =
 let integer_vars t = List.rev t.integers
 let objective t = Array.copy t.obj
 let constraints t = List.rev t.rows
-
-let pp_stats fmt t =
-  Format.fprintf fmt "lp: %d vars, %d constraints, %d integer" t.n t.num_rows
-    (List.length t.integers)

@@ -47,6 +47,3 @@ val integer_vars : t -> int list
 val objective : t -> float array
 val constraints : t -> constr list
 (** In insertion order. *)
-
-val pp_stats : Format.formatter -> t -> unit
-(** One-line size summary (vars / constraints / integers). *)

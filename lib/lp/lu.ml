@@ -35,131 +35,13 @@ type t = {
   mutable eval : float array;
   (* dense step-space scratch for the triangular solves *)
   scratch : float array;
-  (* Small-basis dense form: when [dw] is non-empty the factors live in
-     this flat column-major m×m buffer (multipliers below the pivot, U
-     above, diagonal split into [udiag]; column order is the identity, so
-     [bpos] stays the identity permutation) and the [lcol]/[ucol] arrays
-     are unused. The factors exist only to (re)build [bi], the explicit
-     inverse B⁻¹ held row-major as [bi.(p*m+i)] = (B⁻¹)[p,i] (p a basis
-     position, i an original row). Solves against [bi] are straight dense
-     sweeps and {!update} folds each eta into it in place (product form of
-     the inverse), so between refactorizations no eta file exists for this
-     form. All buffers are reused across refactorizations, making an
-     in-place {!refactor} allocation-free on the B&B hot path. *)
-  mutable dw : float array;
-  bi : float array;
-  scratch2 : float array;  (* dense-form build scratch *)
 }
 
-let dim t = t.m
 let n_etas t = t.n_etas
 
-(* Small-basis fast path: at tiny dimensions the Gilbert–Peierls machinery
-   (column sort, per-column DFS, touched-set bookkeeping) costs more than
-   the factorization itself, and B&B warm-started solves refactor often
-   enough that this shows up at the top of the ILP profile. A flat m×m
-   right-looking elimination with partial pivoting produces the same
-   column-structured L/U/permutation representation with a handful of
-   allocations. Zero entries are skipped throughout, so near-identity
-   bases (the common cold start) stay cheap. *)
-let dense_cutoff = 48
-
-let factor_dense_into t (a : Sparse.t) ~basis =
-  let m = t.m in
-  let w = t.dw in
-  let prow = t.prow in
-  Array.fill w 0 (m * m) 0.0;
-  (* Rows are kept physically in step (permuted) order: a pivot swap moves
-     the whole row across all columns (O(m²) worst case total), which buys
-     contiguous, indirection-free inner loops in the elimination and in
-     every later triangular solve. [prow] tracks which original row sits
-     at each step position. *)
-  for i = 0 to m - 1 do
-    prow.(i) <- i;
-    t.row_step.(i) <- -1
-  done;
-  for pos = 0 to m - 1 do
-    let j = basis.(pos) in
-    let base = pos * m in
-    for k = a.Sparse.colptr.(j) to a.Sparse.colptr.(j + 1) - 1 do
-      Array.unsafe_set w
-        (base + Array.unsafe_get a.Sparse.rowind k)
-        (Array.unsafe_get a.Sparse.values k)
-    done
-  done;
-  for k = 0 to m - 1 do
-    let base = k * m in
-    (* partial pivoting; ties keep the lowest position for determinism *)
-    let bp = ref k in
-    let best = ref (Float.abs (Array.unsafe_get w (base + k))) in
-    for p = k + 1 to m - 1 do
-      let v = Float.abs (Array.unsafe_get w (base + p)) in
-      if v > !best then begin
-        best := v;
-        bp := p
-      end
-    done;
-    if !best <= tiny then raise Singular;
-    if !bp <> k then begin
-      let p = !bp in
-      for c = 0 to m - 1 do
-        let cb = c * m in
-        let tmp = Array.unsafe_get w (cb + k) in
-        Array.unsafe_set w (cb + k) (Array.unsafe_get w (cb + p));
-        Array.unsafe_set w (cb + p) tmp
-      done;
-      let tmp = prow.(k) in
-      prow.(k) <- prow.(p);
-      prow.(p) <- tmp
-    end;
-    let piv = Array.unsafe_get w (base + k) in
-    t.udiag.(k) <- piv;
-    (* store multipliers in place and eliminate the remaining columns;
-       both loops run over the contiguous below-pivot row range *)
-    for i = k + 1 to m - 1 do
-      let v = Array.unsafe_get w (base + i) in
-      if v <> 0.0 then Array.unsafe_set w (base + i) (v /. piv)
-    done;
-    for c = k + 1 to m - 1 do
-      let cb = c * m in
-      let v = Array.unsafe_get w (cb + k) in
-      if v <> 0.0 then
-        for i = k + 1 to m - 1 do
-          let l = Array.unsafe_get w (base + i) in
-          if l <> 0.0 then
-            Array.unsafe_set w (cb + i) (Array.unsafe_get w (cb + i) -. (l *. v))
-        done
-    done
-  done;
-  for k = 0 to m - 1 do
-    t.row_step.(prow.(k)) <- k
-  done;
-  t.n_etas <- 0
-
-let create_dense m =
-  {
-    m;
-    prow = Array.make m (-1);
-    row_step = Array.make m (-1);
-    bpos = Array.init m (fun k -> k);
-    lcol_i = [||];
-    lcol_v = [||];
-    ucol_j = [||];
-    ucol_v = [||];
-    udiag = Array.make m 0.0;
-    n_etas = 0;
-    erow = Array.make 16 0;
-    ediag = Array.make 16 0.0;
-    eoff = Array.make 17 0;
-    eidx = Array.make 64 0;
-    eval = Array.make 64 0.0;
-    scratch = Array.make m 0.0;
-    dw = Array.make (m * m) 0.0;
-    bi = Array.make (m * m) 0.0;
-    scratch2 = Array.make m 0.0;
-  }
-
-let factor_sparse (a : Sparse.t) ~basis m =
+let factor (a : Sparse.t) ~basis =
+  Counter.incr c_refactor;
+  let m = Array.length basis in
   let prow = Array.make m (-1) in
   let row_step = Array.make m (-1) in
   let bpos = Array.make m (-1) in
@@ -326,9 +208,6 @@ let factor_sparse (a : Sparse.t) ~basis m =
     eidx = Array.make 64 0;
     eval = Array.make 64 0.0;
     scratch = Array.make m 0.0;
-    dw = [||];
-    bi = [||];
-    scratch2 = [||];
   }
 
 let grow_int a n = if Array.length a >= n then a else
@@ -343,33 +222,6 @@ let grow_float a n = if Array.length a >= n then a else
 
 let update t ~r ~alpha =
   Counter.incr c_eta;
-  if Array.length t.bi > 0 then begin
-    (* Explicit-inverse form: fold the eta into B⁻¹ in place — row [r]
-       scales by 1/α_r, every other row subtracts its α_p multiple of the
-       new row [r]. Row-major storage keeps all three loops contiguous. *)
-    let m = t.m in
-    let bi = t.bi in
-    let inv = 1.0 /. alpha.(r) in
-    let br = r * m in
-    for i = 0 to m - 1 do
-      Array.unsafe_set bi (br + i) (Array.unsafe_get bi (br + i) *. inv)
-    done;
-    for p = 0 to m - 1 do
-      if p <> r then begin
-        let ap = Array.unsafe_get alpha p in
-        if ap <> 0.0 then begin
-          let bp = p * m in
-          for i = 0 to m - 1 do
-            Array.unsafe_set bi (bp + i)
-              (Array.unsafe_get bi (bp + i)
-               -. (ap *. Array.unsafe_get bi (br + i)))
-          done
-        end
-      end
-    done;
-    t.n_etas <- t.n_etas + 1
-  end
-  else begin
   let e = t.n_etas in
   t.erow <- grow_int t.erow (e + 1);
   t.ediag <- grow_float t.ediag (e + 1);
@@ -393,7 +245,6 @@ let update t ~r ~alpha =
   t.ediag.(e) <- alpha.(r);
   t.eoff.(e + 1) <- !out;
   t.n_etas <- e + 1
-  end
 
 (* The triangular solves and eta sweeps below run several times per pivot;
    every index is produced by the factorization itself (permutations and
@@ -430,48 +281,7 @@ let apply_etas_btran t y =
     Array.unsafe_set y r (!s /. Array.unsafe_get t.ediag e)
   done
 
-(* Dense-form triangular solve: flat column-major factors, identity
-   column order, permutation in [prow]. Only used by {!build_inverse} —
-   runtime solves go through [bi]. *)
-let ftran_dense t x =
-  let m = t.m in
-  let w = t.dw in
-  let y = t.scratch in
-  let prow = t.prow in
-  (* permute input into step order, then solve with contiguous columns *)
-  for k = 0 to m - 1 do
-    Array.unsafe_set y k (Array.unsafe_get x (Array.unsafe_get prow k))
-  done;
-  (* L y = P⁻¹ x, forward *)
-  for k = 0 to m - 1 do
-    let v = Array.unsafe_get y k in
-    if v <> 0.0 then begin
-      let base = k * m in
-      for i = k + 1 to m - 1 do
-        let l = Array.unsafe_get w (base + i) in
-        if l <> 0.0 then
-          Array.unsafe_set y i (Array.unsafe_get y i -. (l *. v))
-      done
-    end
-  done;
-  (* U x' = y, backward; identity column order puts the result straight
-     into basis-position space *)
-  for k = m - 1 downto 0 do
-    let v = Array.unsafe_get y k /. Array.unsafe_get t.udiag k in
-    Array.unsafe_set y k v;
-    if v <> 0.0 then begin
-      let base = k * m in
-      for j = 0 to k - 1 do
-        let u = Array.unsafe_get w (base + j) in
-        if u <> 0.0 then
-          Array.unsafe_set y j (Array.unsafe_get y j -. (u *. v))
-      done
-    end
-  done;
-  Array.blit y 0 x 0 m;
-  apply_etas_ftran t x
-
-let ftran_sparse t x =
+let ftran t x =
   let m = t.m in
   let y = t.scratch in
   (* L y = P⁻¹ x, in step order *)
@@ -508,7 +318,7 @@ let ftran_sparse t x =
   done;
   apply_etas_ftran t x
 
-let btran_sparse t y =
+let btran t y =
   let m = t.m in
   apply_etas_btran t y;
   (* Uᵀ w = Qᵀ y, forward in step order *)
@@ -544,87 +354,3 @@ let btran_sparse t y =
   for k = 0 to m - 1 do
     Array.unsafe_set y (Array.unsafe_get t.prow k) (Array.unsafe_get w k)
   done
-
-(* Explicit-inverse solves: one dense row sweep per output entry. FTRAN
-   is m contiguous dot products; BTRAN accumulates the nonzero input
-   positions' rows — for the pivot-row gather (a unit vector) that is a
-   single row pass. No eta sweep in either direction: {!update} already
-   folded every pivot into [bi]. *)
-let ftran_inv t x =
-  let m = t.m in
-  let bi = t.bi in
-  let y = t.scratch in
-  for p = 0 to m - 1 do
-    let base = p * m in
-    let s = ref 0.0 in
-    for i = 0 to m - 1 do
-      s := !s +. (Array.unsafe_get bi (base + i) *. Array.unsafe_get x i)
-    done;
-    Array.unsafe_set y p !s
-  done;
-  Array.blit y 0 x 0 m
-
-let btran_inv t y =
-  let m = t.m in
-  let bi = t.bi in
-  let w = t.scratch in
-  Array.fill w 0 m 0.0;
-  for p = 0 to m - 1 do
-    let xp = Array.unsafe_get y p in
-    if xp <> 0.0 then begin
-      let base = p * m in
-      for i = 0 to m - 1 do
-        Array.unsafe_set w i
-          (Array.unsafe_get w i +. (xp *. Array.unsafe_get bi (base + i)))
-      done
-    end
-  done;
-  Array.blit w 0 y 0 m
-
-(* Rebuild [bi] from the fresh LU factors: column i of B⁻¹ is the FTRAN of
-   original row i's unit vector (the eta file is empty right after a
-   factorization, so [ftran_dense] is the pure triangular solve). *)
-let build_inverse t =
-  let m = t.m in
-  let bi = t.bi in
-  let x = t.scratch2 in
-  for i = 0 to m - 1 do
-    Array.fill x 0 m 0.0;
-    x.(i) <- 1.0;
-    ftran_dense t x;
-    for p = 0 to m - 1 do
-      bi.((p * m) + i) <- x.(p)
-    done
-  done
-
-let factor_dense (a : Sparse.t) ~basis m =
-  let t = create_dense m in
-  factor_dense_into t a ~basis;
-  build_inverse t;
-  t
-
-let factor (a : Sparse.t) ~basis =
-  Counter.incr c_refactor;
-  let m = Array.length basis in
-  if m <= dense_cutoff then factor_dense a ~basis m
-  else factor_sparse a ~basis m
-
-(* Refactorize, reusing [t]'s buffers when it is a dense-form factor of the
-   same dimension (the warm-started B&B path refactors every few dozen
-   pivots; reuse makes that allocation-free). Falls back to a fresh
-   {!factor} otherwise. *)
-let refactor t (a : Sparse.t) ~basis =
-  let m = Array.length basis in
-  if m = t.m && Array.length t.dw = m * m then begin
-    Counter.incr c_refactor;
-    factor_dense_into t a ~basis;
-    build_inverse t;
-    t
-  end
-  else factor a ~basis
-
-let ftran t x =
-  if Array.length t.bi > 0 then ftran_inv t x else ftran_sparse t x
-
-let btran t y =
-  if Array.length t.bi > 0 then btran_inv t y else btran_sparse t y

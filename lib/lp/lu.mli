@@ -14,12 +14,9 @@
     sweep over a dense vector is cheaper and simpler than maintaining
     sparse solution patterns.
 
-    Small bases (dimension ≤ 48, the warm-started B&B workhorse) use a
-    dense fast path behind the same interface: the LU seeds an explicit
-    inverse B⁻¹ that {!update} then folds each eta into in place (product
-    form of the inverse), so FTRAN/BTRAN are contiguous dense sweeps and
-    no eta file exists between refactorizations. Counter semantics are
-    identical on both paths.
+    Every basis, whatever its dimension, takes this one path: one
+    factorization ({!factor}) and one solve per direction ({!ftran},
+    {!btran}).
 
     Counters [lp.refactorizations] and [lp.eta_updates] register at module
     init and surface in every JSON artifact. *)
@@ -33,20 +30,13 @@ exception Singular
 
 val factor : Sparse.t -> basis:int array -> t
 (** [factor a ~basis] factorizes the m×m basis whose position-[p] column is
-    [a]'s column [basis.(p)]. Left-looking with partial pivoting by
-    magnitude; singleton columns are pivoted first, the rest in ascending
-    column-nnz order (cheap deterministic fill control). Resets the eta
-    file. Counts one [lp.refactorizations]. *)
+    [a]'s column [basis.(p)]. Left-looking (Gilbert–Peierls) with partial
+    pivoting by magnitude; singleton columns are pivoted first, the rest in
+    ascending column-nnz order (cheap deterministic fill control). Resets
+    the eta file. Counts one [lp.refactorizations]. *)
 
-val refactor : t -> Sparse.t -> basis:int array -> t
-(** [refactor t a ~basis] is {!factor} that reuses [t]'s buffers when [t]
-    is a small-basis dense-form factorization of the same dimension
-    (allocation-free); otherwise it falls back to a fresh {!factor}.
-    Either way the returned value is the factorization to use — [t] must
-    not be used afterwards. *)
-
-val dim : t -> int
 val n_etas : t -> int
+(** Eta updates appended since the last {!factor}. *)
 
 val update : t -> r:int -> alpha:float array -> unit
 (** [update t ~r ~alpha] appends the product-form eta for a pivot at basis

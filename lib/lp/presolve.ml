@@ -319,6 +319,9 @@ let reduce ~obj ~lb ~ub ~rows =
     cols_removed;
   }
 
+(* Optimal resting value of an eliminated empty column under the given box:
+   the finite bound its cost pushes it to, or [`Unbounded] when the cost is
+   negative and the box is open above. *)
 let empty_value ~cost ~lo ~hi =
   if cost < 0.0 then if hi < infinity then `Value hi else `Unbounded
   else if cost > 0.0 then `Value lo

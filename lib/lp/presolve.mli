@@ -7,8 +7,8 @@
        sides and dropped;}
     {- {e empty columns} (no occurrence in any kept row) are dropped — the
        solver-side value is chosen per solve from the current box by cost
-       sign ({!empty_value}), because {!Simplex.State.resolve} can change
-       the box between solves;}
+       sign, because {!Simplex.State.resolve} can change the box between
+       solves;}
     {- {e empty rows} become a feasibility check and disappear;}
     {- {e singleton rows} fold into a tightened column bound and
        disappear;}
@@ -63,12 +63,6 @@ val reduce :
     When [verdict = Infeasible] the remaining fields describe the partial
     reduction and must not be solved. *)
 
-val empty_value :
-  cost:float -> lo:float -> hi:float -> [ `Value of float | `Unbounded ]
-(** Optimal resting value of an eliminated empty column under the given
-    box: the finite bound its cost pushes it to, or [`Unbounded] when the
-    cost is negative and the box is open above. *)
-
 val postsolve :
   t ->
   cur_lb:float array ->
@@ -77,4 +71,5 @@ val postsolve :
   [ `X of float array | `Unbounded ]
 (** Lift a reduced solution back to the original variable space under the
     {e current} original-space boxes (which matter only for [Empty]
-    columns). [`Unbounded] propagates {!empty_value}'s open-box case. *)
+    columns). [`Unbounded] when an [Empty] column has negative cost and a
+    box open above. *)

@@ -176,7 +176,7 @@ let refresh_xb t =
   Lu.ftran t.lu t.xb
 
 let refactor t =
-  t.lu <- Lu.refactor t.lu t.acols ~basis:t.basis;
+  t.lu <- Lu.factor t.acols ~basis:t.basis;
   refresh_xb t;
   reprice t
 
@@ -718,11 +718,8 @@ let cold_solve t obj =
    bounds with the dual simplex from the last optimal basis + factors. *)
 
 module State = struct
-  type kind = Raw | Pre of Presolve.t
-
   type t = {
     problem : Lp_problem.t;
-    extra : Lp_problem.constr list;
     obj : float array;
     orig_lb : float array;
     orig_ub : float array;
@@ -731,18 +728,17 @@ module State = struct
     mutable overridden : int list;
     pivot_count : int ref;  (* cumulative across cold rebuilds *)
     mutable pre : Presolve.t option;  (* memoized root presolve *)
-    mutable kind : kind;
     mutable tab : tab option;
-    (* [dual_ready]: the tableau's [z] row prices [obj] and is dual
-       feasible, so a bound change can be re-solved by [dual] alone. *)
+    (* [dual_ready]: the tableau's [z] row prices the reduced objective and
+       is dual feasible, so a bound change can be re-solved by [dual]
+       alone. *)
     mutable dual_ready : bool;
   }
 
-  let create ?(extra = []) problem =
+  let create problem =
     let b = Lp_problem.bounds problem in
     {
       problem;
-      extra;
       obj = Lp_problem.objective problem;
       orig_lb = Array.map fst b;
       orig_ub = Array.map snd b;
@@ -751,7 +747,6 @@ module State = struct
       overridden = [];
       pivot_count = ref 0;
       pre = None;
-      kind = Raw;
       tab = None;
       dual_ready = false;
     }
@@ -765,29 +760,18 @@ module State = struct
       st.cur_lb;
     !bad
 
-  (* The presolve is computed once against the problem's own bounds;
-     reusing its reductions for a re-solve is sound only while every
-     override box stays inside the original box (then intersecting with
-     the presolve-tightened boxes is equivalent to keeping the deleted
-     rows). B&B narrowing always satisfies this; anything else falls back
-     to an unpresolved build. *)
-  let in_box st =
-    let ok = ref true in
-    for j = 0 to Array.length st.cur_lb - 1 do
-      if
-        st.cur_lb.(j) < st.orig_lb.(j) -. 1e-12
-        || st.cur_ub.(j) > st.orig_ub.(j) +. 1e-12
-      then ok := false
-    done;
-    !ok
-
+  (* The presolve is computed once against the problem's own bounds.
+     Reusing its reductions under an override is sound because {!resolve}
+     only accepts boxes inside the original ones: intersecting them with
+     the presolve-tightened boxes is then equivalent to keeping the deleted
+     rows. *)
   let get_pre st =
     match st.pre with
     | Some p -> p
     | None ->
         let p =
           Presolve.reduce ~obj:st.obj ~lb:st.orig_lb ~ub:st.orig_ub
-            ~rows:(Lp_problem.constraints st.problem @ st.extra)
+            ~rows:(Lp_problem.constraints st.problem)
         in
         st.pre <- Some p;
         p
@@ -835,10 +819,10 @@ module State = struct
     if reduced_bounds_into st pre rlb rub then Some (rlb, rub) else None
 
   (* Lift a tableau-space result back to the original variable space. *)
-  let finish st result =
-    match (result, st.kind) with
-    | Optimal _, Raw | Infeasible, _ | Unbounded, _ | Iter_limit, _ -> result
-    | Optimal { solution = x_red; _ }, Pre pre -> (
+  let finish st (pre : Presolve.t) result =
+    match result with
+    | Infeasible | Unbounded | Iter_limit -> result
+    | Optimal { solution = x_red; _ } -> (
         match
           Presolve.postsolve pre ~cur_lb:st.cur_lb ~cur_ub:st.cur_ub ~x_red
         with
@@ -850,91 +834,50 @@ module State = struct
             done;
             Optimal { objective = !objective; solution = x })
 
-  let tab_obj st =
-    match st.kind with Raw -> st.obj | Pre pre -> pre.Presolve.obj
-
-  let drop_tab st =
+  (* Forget the tableau and answer [result]: nothing warm survives a solve
+     that did not finish optimal. *)
+  let drop_tab st result =
     st.tab <- None;
-    st.dual_ready <- false
+    st.dual_ready <- false;
+    result
 
   let cold st =
-    if empty_box st then begin
-      drop_tab st;
-      Infeasible
-    end
-    else begin
-      let build_and_solve () =
-        if in_box st then begin
-          let pre = get_pre st in
-          if pre.Presolve.verdict = Presolve.Infeasible then begin
-            drop_tab st;
-            Infeasible
-          end
-          else
-            match reduced_bounds st pre with
-            | None ->
-                drop_tab st;
-                Infeasible
-            | Some (rlb, rub) ->
-                st.kind <- Pre pre;
-                let t =
-                  build ~rows:pre.Presolve.rows ~n_struct:pre.Presolve.n_red
-                    ~lb:rlb ~ub:rub ~pivots:st.pivot_count
-                in
-                st.tab <- Some t;
-                let result, dual_ready = cold_solve t (tab_obj st) in
-                st.dual_ready <- dual_ready;
-                finish st result
-        end
-        else begin
-          st.kind <- Raw;
-          let t =
-            build
-              ~rows:(Lp_problem.constraints st.problem @ st.extra)
-              ~n_struct:(Lp_problem.num_vars st.problem)
-              ~lb:st.cur_lb ~ub:st.cur_ub ~pivots:st.pivot_count
-          in
-          st.tab <- Some t;
-          let result, dual_ready = cold_solve t (tab_obj st) in
-          st.dual_ready <- dual_ready;
-          finish st result
-        end
-      in
-      try build_and_solve ()
-      with Lu.Singular ->
-        (* Numerically singular basis mid-solve: give up on this solve
-           without presenting a truncated answer as optimal. *)
-        drop_tab st;
-        Iter_limit
-    end
+    if empty_box st then drop_tab st Infeasible
+    else
+      let pre = get_pre st in
+      if pre.Presolve.verdict = Presolve.Infeasible then drop_tab st Infeasible
+      else
+        match reduced_bounds st pre with
+        | None -> drop_tab st Infeasible
+        | Some (rlb, rub) -> (
+            try
+              let t =
+                build ~rows:pre.Presolve.rows ~n_struct:pre.Presolve.n_red
+                  ~lb:rlb ~ub:rub ~pivots:st.pivot_count
+              in
+              st.tab <- Some t;
+              let result, dual_ready = cold_solve t pre.Presolve.obj in
+              st.dual_ready <- dual_ready;
+              finish st pre result
+            with Lu.Singular ->
+              (* Numerically singular basis mid-solve: give up on this
+                 solve without presenting a truncated answer as optimal. *)
+              drop_tab st Iter_limit)
 
   let solve_root st = Timer.time t_solve (fun () -> cold st)
 
-  (* Sync the live tableau's column bounds to the current boxes. [false]
-     when the tableau cannot express them (presolved tableau with an
-     override escaping the original box). [`Infeasible] when an
-     intersected box is empty. *)
-  let sync_bounds st t =
-    match st.kind with
-    | Raw ->
-        Array.blit st.cur_lb 0 t.lower 0 t.n_struct;
-        Array.blit st.cur_ub 0 t.upper 0 t.n_struct;
-        `Ok
-    | Pre pre ->
-        if not (in_box st) then `Incompatible
-          (* writes the reduced boxes straight into the tableau's column
-             bounds; a [`Infeasible] partial write is harmless because
-             every later warm start re-syncs before solving *)
-        else if reduced_bounds_into st pre t.lower t.upper then `Ok
-        else `Infeasible
-
   (* Re-solve with per-variable bound overrides (all other variables reset
-     to the problem's own bounds). Warm path: sync the tableau's column
-     bounds, refresh basic values through the factorization, run the dual
-     simplex. Falls back to a cold solve when no dual-feasible tableau is
-     available or the dual hits its iteration cap. Returns the result and
-     whether the warm path produced it. *)
+     to the problem's own bounds). Warm path: clamp the overrides into the
+     tableau's column bounds, refresh basic values through the
+     factorization, run the dual simplex. Falls back to a cold solve when
+     no dual-feasible tableau is available or the dual hits its iteration
+     cap. Returns the result and whether the warm path produced it. *)
   let resolve st ~bounds =
+    List.iter
+      (fun (j, lo, hi) ->
+        if lo < st.orig_lb.(j) -. 1e-12 || hi > st.orig_ub.(j) +. 1e-12 then
+          invalid_arg "Simplex.State.resolve: override outside the box")
+      bounds;
     Timer.time t_solve (fun () ->
         List.iter
           (fun j ->
@@ -947,54 +890,60 @@ module State = struct
             st.cur_lb.(j) <- lo;
             st.cur_ub.(j) <- hi)
           bounds;
-        if empty_box st then (Infeasible, true)
+        (* unlisted columns are back in the problem's own boxes, which any
+           cold solve checks *)
+        if
+          List.exists
+            (fun (j, _, _) -> st.cur_lb.(j) > st.cur_ub.(j) +. eps)
+            bounds
+        then (Infeasible, true)
         else
           match st.tab with
-          | Some t when st.dual_ready -> (
-              match sync_bounds st t with
-              | `Infeasible -> (Infeasible, true)
-              | `Incompatible -> (cold st, false)
-              | `Ok -> (
-                  (* Restore dual feasibility by bound flips. While a
-                     variable is fixed (lo = hi) the dual simplex never
-                     protects its reduced cost, so unfixing it can expose a
-                     sign that disagrees with the bound it rests at; moving
-                     it to its other (finite) bound makes the sign agree
-                     again. A reverted override can likewise leave a
-                     variable resting on an upper bound that is now
-                     infinite. Only a wrong-signed column with no finite
-                     opposite bound defeats the warm start and forces a
-                     cold solve. *)
-                  let still_dual = ref true in
-                  for j = 0 to t.n - 1 do
-                    if t.status.(j) <> Basic && t.upper.(j) -. t.lower.(j) > eps
-                    then begin
-                      if t.status.(j) = At_upper && t.upper.(j) = infinity then
-                        t.status.(j) <- At_lower;
-                      match t.status.(j) with
-                      | At_lower when t.z.(j) < -.eps ->
-                          if t.upper.(j) < infinity then
-                            t.status.(j) <- At_upper
-                          else still_dual := false
-                      | At_upper when t.z.(j) > eps -> t.status.(j) <- At_lower
-                      | At_lower | At_upper | Basic -> ()
-                    end
-                  done;
-                  if not !still_dual then (cold st, false)
-                  else
-                    try
-                      refresh_xb t;
-                      match dual t with
-                      | `Optimal ->
-                          (finish st (extract t (tab_obj st)), true)
-                      | `Infeasible -> (Infeasible, true)
-                      | `Iter_limit ->
-                          (* Cold restart with the same bounds. *)
-                          (cold st, false)
-                    with Lu.Singular -> (cold st, false)))
+          | Some t when st.dual_ready ->
+              let pre = get_pre st in
+              (* writes the reduced boxes straight into the tableau's column
+                 bounds; a partial write on [false] is harmless because
+                 every later warm start re-syncs before solving *)
+              if not (reduced_bounds_into st pre t.lower t.upper) then
+                (Infeasible, true)
+              else begin
+                (* Restore dual feasibility by bound flips. While a variable
+                   is fixed (lo = hi) the dual simplex never protects its
+                   reduced cost, so unfixing it can expose a sign that
+                   disagrees with the bound it rests at; moving it to its
+                   other (finite) bound makes the sign agree again. A
+                   reverted override can likewise leave a variable resting
+                   on an upper bound that is now infinite. Only a
+                   wrong-signed column with no finite opposite bound defeats
+                   the warm start and forces a cold solve. *)
+                let still_dual = ref true in
+                for j = 0 to t.n - 1 do
+                  if t.status.(j) <> Basic && t.upper.(j) -. t.lower.(j) > eps
+                  then begin
+                    if t.status.(j) = At_upper && t.upper.(j) = infinity then
+                      t.status.(j) <- At_lower;
+                    match t.status.(j) with
+                    | At_lower when t.z.(j) < -.eps ->
+                        if t.upper.(j) < infinity then t.status.(j) <- At_upper
+                        else still_dual := false
+                    | At_upper when t.z.(j) > eps -> t.status.(j) <- At_lower
+                    | At_lower | At_upper | Basic -> ()
+                  end
+                done;
+                if not !still_dual then (cold st, false)
+                else
+                  try
+                    refresh_xb t;
+                    match dual t with
+                    | `Optimal ->
+                        (finish st pre (extract t pre.Presolve.obj), true)
+                    | `Infeasible -> (Infeasible, true)
+                    | `Iter_limit ->
+                        (* Cold restart with the same bounds. *)
+                        (cold st, false)
+                  with Lu.Singular -> (cold st, false)
+              end
           | _ -> (cold st, false))
 end
 
-let solve ?(extra = []) problem =
-  let st = State.create ~extra problem in
-  State.solve_root st
+let solve problem = State.solve_root (State.create problem)

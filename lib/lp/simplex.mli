@@ -52,19 +52,18 @@ type result =
           is feasible-but-not-proven-optimal (primal) or not even feasible
           (dual); its objective is NOT a valid bound. *)
 
-val solve : ?extra:Lp_problem.constr list -> Lp_problem.t -> result
-(** [solve ?extra p] solves [p] with optional additional rows. One-shot:
-    builds a fresh tableau, runs phase 1 (only if some row needs an
-    artificial) and phase 2. *)
+val solve : Lp_problem.t -> result
+(** [solve p] solves [p]. One-shot: presolves, builds a fresh tableau,
+    runs phase 1 (only if some row needs an artificial) and phase 2. *)
 
 (** Persistent solver state for warm-started re-solves under changed
     column bounds (the branch-and-bound hot path). *)
 module State : sig
   type t
 
-  val create : ?extra:Lp_problem.constr list -> Lp_problem.t -> t
-  (** Capture the problem; nothing is solved yet. The problem's rows and
-      bounds are read at the first solve. *)
+  val create : Lp_problem.t -> t
+  (** Capture the problem and its column bounds; nothing is solved yet.
+      The rows are read (and presolved, once) at the first solve. *)
 
   val solve_root : t -> result
   (** Cold two-phase solve from the all-slack basis. *)
@@ -82,10 +81,17 @@ module State : sig
       only the column bounds and basic values are refreshed (through the
       retained basis factorization) and the dual simplex runs from the
       previous basis; otherwise (or if the dual hits its iteration cap) a
-      cold solve is performed. Overrides that stay inside the problem's own
-      boxes — the branch-and-bound case — run against the presolved
-      tableau; an override escaping its original box forces an unpresolved
-      rebuild. The boolean is [true] iff the warm path produced the
-      result. *)
+      cold solve is performed. An empty override box ([lo > hi]) answers
+      [Infeasible] at once. The boolean is [true] iff the warm path
+      produced the result.
+
+      Precondition: every override narrows its variable's own box —
+      [lo >= l] and [hi <= u] for the problem's bounds [[l, u]], as
+      branch-and-bound narrowing always does. The solver keeps one
+      presolve, computed against the problem's own boxes, and that
+      reduction is only sound inside them.
+
+      @raise Invalid_argument if an override leaves its variable's box;
+      the state is left unchanged. *)
 end
 

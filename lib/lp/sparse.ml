@@ -6,8 +6,6 @@ type t = {
   values : float array;
 }
 
-let nnz t = t.colptr.(t.n)
-
 let of_arrays ~m ~n ~rows ~cols ~vals =
   let k = Array.length rows in
   if Array.length cols <> k || Array.length vals <> k then
@@ -59,21 +57,9 @@ let of_arrays ~m ~n ~rows ~cols ~vals =
   done;
   { m; n; colptr; rowind; values }
 
-let of_triplets ~m ~n entries =
-  let k = List.length entries in
-  let rows = Array.make k 0 and cols = Array.make k 0 in
-  let vals = Array.make k 0.0 in
-  List.iteri
-    (fun i (r, c, v) ->
-      rows.(i) <- r;
-      cols.(i) <- c;
-      vals.(i) <- v)
-    entries;
-  of_arrays ~m ~n ~rows ~cols ~vals
-
 let transpose t =
   let colptr = Array.make (t.m + 1) 0 in
-  let k = nnz t in
+  let k = t.colptr.(t.n) in
   for i = 0 to k - 1 do
     let r = t.rowind.(i) in
     colptr.(r + 1) <- colptr.(r + 1) + 1

@@ -14,18 +14,12 @@ type t = private {
   values : float array;
 }
 
-val nnz : t -> int
-
-val of_triplets : m:int -> n:int -> (int * int * float) list -> t
-(** [of_triplets ~m ~n entries] assembles from (row, col, value) triplets in
-    any order; duplicates of the same (row, col) cell are summed and exact
-    zeros produced by coalescing are kept (structural nonzeros). *)
-
 val of_arrays :
   m:int -> n:int -> rows:int array -> cols:int array -> vals:float array -> t
-(** Same assembly from parallel triplet arrays, avoiding the intermediate
-    list when the caller counts entries up front (the simplex build path).
-    The input arrays are not modified. *)
+(** [of_arrays ~m ~n ~rows ~cols ~vals] assembles from parallel
+    (row, col, value) triplet arrays in any order; duplicates of the same
+    (row, col) cell are summed and exact zeros produced by coalescing are
+    kept (structural nonzeros). The input arrays are not modified. *)
 
 val transpose : t -> t
 (** O(nnz); the transpose of a CSC matrix is its CSR view. *)

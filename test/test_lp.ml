@@ -324,21 +324,6 @@ let test_simplex_degenerate () =
   let o = solve_expect_optimal p in
   check_close ~eps:1e-6 "beale optimum" (-0.05) o.objective
 
-let test_simplex_extra_rows () =
-  (* Base problem plus extra rows, as one-shot callers use them. *)
-  let p = Lp_problem.create ~num_vars:1 in
-  Lp_problem.set_objective p [ (0, -1.0) ];
-  Lp_problem.add_constraint p [ (0, 1.0) ] Lp_problem.Le 10.0;
-  let extra =
-    [ { Lp_problem.coeffs = [ (0, 1.0) ]; relation = Lp_problem.Le; rhs = 4.0 } ]
-  in
-  (match Simplex.solve ~extra p with
-  | Simplex.Optimal o -> check_close "bounded by extra" (-4.0) o.objective
-  | _ -> Alcotest.fail "expected optimal");
-  (* Without extra rows the answer differs. *)
-  let o = solve_expect_optimal p in
-  check_close "without extra" (-10.0) o.objective
-
 let test_simplex_upper_bounds_no_rows () =
   (* Column bounds alone, zero constraint rows: min -x - 2y with
      x <= 4, y <= 1.5 is solved entirely by bound flips. *)
@@ -425,6 +410,11 @@ let test_state_warm_resolve () =
   (match Simplex.State.resolve st ~bounds:[ (1, 2.0, 1.0) ] with
   | Simplex.Infeasible, _ -> ()
   | _ -> Alcotest.fail "empty box not infeasible");
+  (* An override that widens the problem's own box is refused, and the
+     state is left as it was. *)
+  Alcotest.check_raises "override outside the box"
+    (Invalid_argument "Simplex.State.resolve: override outside the box")
+    (fun () -> ignore (Simplex.State.resolve st ~bounds:[ (0, 0.0, 5.0) ]));
   (* No overrides: back to the root optimum. *)
   match Simplex.State.resolve st ~bounds:[] with
   | Simplex.Optimal o, _ -> check_close "reverted" (-3.0) o.objective
@@ -782,12 +772,139 @@ let build_random_bounded rng =
   done;
   p
 
+(* A random miniature of the appendix-D model behind Fig. 13's Optimal
+   line (Rapid_routing.Optimal): contacts in time order between a few
+   nodes, and single-copy packets over per-packet arcs that never enter
+   their source or leave their destination. It has the model's three row
+   families: per-contact bandwidth, per-packet receive-once, and per-arc
+   causality chains (an arc out of a node needs the packet there from an
+   earlier contact). Optional singleton and Ge rows ride along. About
+   15-165 rows, X in [0, 1], early deliveries rewarded. *)
+let build_fig13_shaped rng =
+  let nodes = 3 + Rng.int rng 4 in
+  let other u = (u + 1 + Rng.int rng (nodes - 1)) mod nodes in
+  let contacts =
+    Array.init
+      (5 + Rng.int rng 7)
+      (fun _ ->
+        let u = Rng.int rng nodes in
+        (u, other u, 1 + Rng.int rng 6))
+  in
+  let packets =
+    Array.init
+      (2 + Rng.int rng 6)
+      (fun _ ->
+        let src = Rng.int rng nodes in
+        (src, other src, 1 + Rng.int rng 3))
+  in
+  let arcs =
+    Array.map
+      (fun (src, dst, _) ->
+        Array.to_list contacts
+        |> List.mapi (fun k (u, v, _) -> [ (k, u, v); (k, v, u) ])
+        |> List.concat
+        |> List.filter (fun (_, f, t) -> t <> src && f <> dst)
+        |> Array.of_list)
+      packets
+  in
+  let offset = Array.make (Array.length packets) 0 in
+  for pi = 1 to Array.length packets - 1 do
+    offset.(pi) <- offset.(pi - 1) + Array.length arcs.(pi - 1)
+  done;
+  let num_vars = Array.fold_left (fun acc a -> acc + Array.length a) 0 arcs in
+  let p = Lp_problem.create ~num_vars in
+  let var pi ai = offset.(pi) + ai in
+  let horizon = Float.of_int (Array.length contacts + 1) in
+  let terms f =
+    List.concat
+      (List.init (Array.length packets) (fun pi ->
+           List.filter_map (f pi) (List.init (Array.length arcs.(pi)) Fun.id)))
+  in
+  Lp_problem.set_objective p
+    (terms (fun pi ai ->
+         let k, _, t = arcs.(pi).(ai) and _, dst, _ = packets.(pi) in
+         if t = dst then Some (var pi ai, Float.of_int (k + 1) -. horizon)
+         else None));
+  Array.iteri
+    (fun k (_, _, bytes) ->
+      let row =
+        terms (fun pi ai ->
+            let kk, _, _ = arcs.(pi).(ai) and _, _, size = packets.(pi) in
+            if kk = k then Some (var pi ai, Float.of_int size) else None)
+      in
+      if row <> [] then
+        Lp_problem.add_constraint p row Lp_problem.Le (Float.of_int bytes))
+    contacts;
+  Array.iteri
+    (fun pi (src, _, _) ->
+      let a = arcs.(pi) in
+      let indices = List.init (Array.length a) Fun.id in
+      for node = 0 to nodes - 1 do
+        let ins =
+          List.filter_map
+            (fun ai ->
+              let _, _, t = a.(ai) in
+              if t = node then Some (var pi ai, 1.0) else None)
+            indices
+        in
+        if ins <> [] then Lp_problem.add_constraint p ins Lp_problem.Le 1.0
+      done;
+      Array.iteri
+        (fun ai (k, f, _) ->
+          let prior =
+            List.filter_map
+              (fun aj ->
+                let kj, fj, tj = a.(aj) in
+                if kj >= k then None
+                else if fj = f then Some (var pi aj, 1.0)
+                else if tj = f then Some (var pi aj, -1.0)
+                else None)
+              indices
+          in
+          Lp_problem.add_constraint p
+            ((var pi ai, 1.0) :: prior)
+            Lp_problem.Le
+            (if f = src then 1.0 else 0.0))
+        a)
+    packets;
+  if Rng.float rng < 0.3 then
+    Lp_problem.add_constraint p
+      [ (Rng.int rng num_vars, 1.0) ]
+      Lp_problem.Le 0.0;
+  if Rng.float rng < 0.3 then
+    Lp_problem.add_constraint p
+      [ (Rng.int rng num_vars, 1.0) ]
+      Lp_problem.Ge (Rng.uniform rng 0.0 1.0);
+  if Rng.float rng < 0.3 then begin
+    let pi = Rng.int rng (Array.length packets) in
+    let _, dst, _ = packets.(pi) in
+    let delivered =
+      List.filter_map
+        (fun ai ->
+          let _, _, t = arcs.(pi).(ai) in
+          if t = dst then Some (var pi ai, 1.0) else None)
+        (List.init (Array.length arcs.(pi)) Fun.id)
+    in
+    if delivered <> [] then
+      Lp_problem.add_constraint p delivered Lp_problem.Ge
+        (Rng.uniform rng 0.2 1.0)
+  end;
+  for v = 0 to num_vars - 1 do
+    Lp_problem.set_upper p v 1.0
+  done;
+  p
+
+(* One case in three is Fig. 13-shaped, so the sparse LU and presolve see
+   the row structure that production solves, not only tiny dense LPs. *)
 let prop_sparse_matches_dense_oracle =
   let gen = QCheck.Gen.int_range 0 100_000 in
-  QCheck.Test.make ~name:"sparse simplex matches dense oracle" ~count:400
+  QCheck.Test.make ~name:"sparse simplex matches dense oracle" ~count:600
     (QCheck.make gen) (fun seed ->
       let rng = Rng.create seed in
-      let p = build_random_bounded rng in
+      let p =
+        if seed mod 3 = 0 then build_fig13_shaped rng
+        else build_random_bounded rng
+      in
       match (Simplex.solve p, Dense_simplex.solve p) with
       | Simplex.Optimal a, Dense_simplex.Optimal b ->
           Float.abs (a.Simplex.objective -. b.Dense_simplex.objective) < 1e-5
@@ -859,6 +976,131 @@ let prop_warm_parity_sparse_vs_dense =
         if not (agree warm dwarm) then ok := false
       done;
       !ok)
+
+(* Lu, driven directly. A random sparse basis that is nonsingular by
+   construction (column diagonal dominance under a random row
+   permutation) is factored, then up to 80 column replacements go through
+   the eta file; each entering column displaces a position whose FTRAN'd
+   entry is at least half the largest, as a ratio test with a pivot
+   tolerance would. After the factorization and after every update,
+   FTRAN and BTRAN must solve B·x = b and Bᵀ·y = c to a relative residual
+   of 1e-9. A basis that repeats a column must raise [Singular]. *)
+
+let inf_norm v =
+  Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 v
+
+(* m×2m: columns [0, m) form the nonsingular starting basis, columns
+   [m, 2m) are sparse entering candidates *)
+let random_lu_matrix rng m =
+  let perm = Array.init m Fun.id in
+  Rng.shuffle rng perm;
+  let rows = ref [] and cols = ref [] and vals = ref [] in
+  let push i j v =
+    rows := i :: !rows;
+    cols := j :: !cols;
+    vals := v :: !vals
+  in
+  for j = 0 to m - 1 do
+    let off = ref 0.0 in
+    for _ = 1 to Int.min (m - 1) (Rng.int rng 4) do
+      let i = Rng.int rng m in
+      if i <> perm.(j) then begin
+        let v = Rng.uniform rng (-2.0) 2.0 in
+        off := !off +. Float.abs v;
+        push i j v
+      end
+    done;
+    let d = (1.0 +. !off) *. Rng.uniform rng 1.0 2.0 in
+    push perm.(j) j (if Rng.bool rng then d else -.d)
+  done;
+  for j = m to (2 * m) - 1 do
+    for _ = 0 to Rng.int rng 4 do
+      let v = Rng.uniform rng 0.5 3.0 in
+      push (Rng.int rng m) j (if Rng.bool rng then v else -.v)
+    done
+  done;
+  Sparse.of_arrays ~m ~n:(2 * m) ~rows:(Array.of_list !rows)
+    ~cols:(Array.of_list !cols) ~vals:(Array.of_list !vals)
+
+(* Relative residuals ‖B·x − b‖∞ / (‖B‖∞·‖x‖∞ + ‖b‖∞) of FTRAN and the
+   same for BTRAN against Bᵀ, on random right-hand sides. *)
+let lu_residuals rng a ~basis lu =
+  let m = Array.length basis in
+  let row_sum = Array.make m 0.0 and col_sum = Array.make m 0.0 in
+  Array.iteri
+    (fun p j ->
+      Sparse.iter_col a j (fun i v ->
+          row_sum.(i) <- row_sum.(i) +. Float.abs v;
+          col_sum.(p) <- col_sum.(p) +. Float.abs v))
+    basis;
+  let b = Array.init m (fun _ -> Rng.uniform rng (-1.0) 1.0) in
+  let x = Array.copy b in
+  Lu.ftran lu x;
+  let rb = Array.copy b in
+  Array.iteri
+    (fun p j ->
+      Sparse.iter_col a j (fun i v -> rb.(i) <- rb.(i) -. (v *. x.(p))))
+    basis;
+  let c = Array.init m (fun _ -> Rng.uniform rng (-1.0) 1.0) in
+  let y = Array.copy c in
+  Lu.btran lu y;
+  let rc =
+    Array.mapi
+      (fun p j ->
+        let s = ref c.(p) in
+        Sparse.iter_col a j (fun i v -> s := !s -. (v *. y.(i)));
+        !s)
+      basis
+  in
+  Float.max
+    (inf_norm rb /. ((inf_norm row_sum *. inf_norm x) +. inf_norm b))
+    (inf_norm rc /. ((inf_norm col_sum *. inf_norm y) +. inf_norm c))
+
+let prop_lu_solves_after_updates =
+  let gen = QCheck.Gen.int_range 0 100_000 in
+  QCheck.Test.make ~name:"lu solves after factor and eta updates" ~count:150
+    (QCheck.make gen) (fun seed ->
+      let rng = Rng.create seed in
+      let m = 1 + Rng.int rng 120 in
+      let a = random_lu_matrix rng m in
+      let basis = Array.init m Fun.id in
+      Rng.shuffle rng basis;
+      let in_basis = Array.init (2 * m) (fun j -> j < m) in
+      let lu = Lu.factor a ~basis in
+      let worst = ref (lu_residuals rng a ~basis lu) in
+      let alpha = Array.make m 0.0 in
+      for _ = 1 to Rng.int rng 81 do
+        let q = m + Rng.int rng m in
+        if not in_basis.(q) then begin
+          Array.fill alpha 0 m 0.0;
+          Sparse.iter_col a q (fun i v -> alpha.(i) <- v);
+          Lu.ftran lu alpha;
+          let big = inf_norm alpha in
+          let candidates =
+            List.filter
+              (fun r -> Float.abs alpha.(r) >= 0.5 *. big)
+              (List.init m Fun.id)
+          in
+          let r = List.nth candidates (Rng.int rng (List.length candidates)) in
+          Lu.update lu ~r ~alpha;
+          in_basis.(basis.(r)) <- false;
+          in_basis.(q) <- true;
+          basis.(r) <- q;
+          worst := Float.max !worst (lu_residuals rng a ~basis lu)
+        end
+      done;
+      let singular =
+        m < 2
+        ||
+        let repeated = Array.copy basis in
+        repeated.(m - 1) <- repeated.(0);
+        match Lu.factor a ~basis:repeated with
+        | exception Lu.Singular -> true
+        | _ -> false
+      in
+      if !worst > 1e-9 then
+        QCheck.Test.fail_reportf "m=%d: relative residual %.3g" m !worst;
+      singular)
 
 (* Presolve/postsolve round trip: solving the reduced model (with the
    independent dense oracle) and lifting must produce a point that is
@@ -952,6 +1194,7 @@ let qcheck_cases =
       prop_sparse_matches_dense_oracle;
       prop_warm_parity_sparse_vs_dense;
       prop_presolve_postsolve_roundtrip;
+      prop_lu_solves_after_updates;
     ]
 
 let () =
@@ -966,7 +1209,6 @@ let () =
           Alcotest.test_case "infeasible" `Quick test_simplex_infeasible;
           Alcotest.test_case "unbounded" `Quick test_simplex_unbounded;
           Alcotest.test_case "degenerate (Beale)" `Quick test_simplex_degenerate;
-          Alcotest.test_case "extra rows" `Quick test_simplex_extra_rows;
           Alcotest.test_case "upper bounds, no rows" `Quick
             test_simplex_upper_bounds_no_rows;
           Alcotest.test_case "bounds vs rows" `Quick test_simplex_bounds_vs_rows;
