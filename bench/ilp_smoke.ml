@@ -21,11 +21,11 @@
    Ilp_exact at its pinned [avg_delay_all]. They cover the warm-started
    dual simplex on real models.
 
-   With RAPID_BENCH_STRICT=1 the run additionally requires the sparse
-   solver's instrumentation to be live: lp.refactorizations,
-   lp.eta_updates, lp.presolve_rows_removed, lp.presolve_cols_removed and
-   ilp.warm_starts must all be nonzero across the run (branch-and-bound
-   boxes plus singleton-row folds fix thousands of columns here).
+   With RAPID_BENCH_STRICT=1 the run additionally pins the solver's work:
+   every lp.* and ilp.* counter below must equal its exact total over the
+   whole run. The totals are deterministic (one process, one domain), so
+   any drift means pivots moved: a change that moves them on purpose
+   retunes [pinned_totals] and says so.
 
    Usage: dune exec bench/ilp_smoke.exe *)
 
@@ -37,6 +37,17 @@ let golden_avg_delay = 1217.808623065
 
 (* (day, avg_delay_all) of the branching 25% slices at load 2.0 *)
 let branching_goldens = [ (0, 1338.241467732); (2, 1793.694045446) ]
+
+(* exact counter totals over the whole run, checked under
+   RAPID_BENCH_STRICT=1 *)
+let pinned_totals =
+  [
+    ("lp.pivots", 3356); ("lp.eta_updates", 3356); ("lp.bound_flips", 1772);
+    ("lp.refactorizations", 62); ("lp.cold_solves", 17);
+    ("lp.presolve_rows_removed", 16924); ("lp.presolve_cols_removed", 8351);
+    ("lp.phase1_iters", 0); ("lp.iter_limits", 0); ("ilp.nodes", 195);
+    ("ilp.warm_starts", 178); ("ilp.unconverged", 0);
+  ]
 
 let tolerance = 1e-6
 let errors = ref 0
@@ -124,22 +135,14 @@ let () =
   (match Sys.getenv_opt "RAPID_BENCH_STRICT" with
   | Some "1" ->
       let snap = Counter.snapshot () in
-      let value name =
-        match List.assoc_opt name snap with
-        | Some v -> Some v
-        | None -> None
-      in
       List.iter
-        (fun name ->
-          match value name with
+        (fun (name, want) ->
+          match List.assoc_opt name snap with
           | None -> fail "counter %s not registered" name
-          | Some 0 -> fail "counter %s is zero across the run" name
+          | Some v when v <> want ->
+              fail "counter %s = %d, pinned %d" name v want
           | Some v -> Printf.printf "%s = %d\n" name v)
-        [
-          "lp.refactorizations"; "lp.eta_updates";
-          "lp.presolve_rows_removed"; "lp.presolve_cols_removed";
-          "ilp.warm_starts";
-        ]
+        pinned_totals
   | Some _ | None -> ());
   if !errors > 0 then begin
     Printf.eprintf "ilp smoke: %d failure(s)\n" !errors;

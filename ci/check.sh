@@ -33,9 +33,10 @@ dune exec bench/check_bench.exe -- "$BENCH_SMOKE_OUT" BENCH.baseline.json
 # optimality with the pinned golden objective on the load 2.0 / day 1
 # slice, and two 25% slices at load 2.0 must branch and still close at
 # their pinned objectives (see bench/ilp_smoke.ml). RAPID_BENCH_STRICT=1
-# additionally hard-fails unless the sparse simplex's instrumentation is
-# live: lp.refactorizations, lp.eta_updates, both lp.presolve_*_removed
-# counters and ilp.warm_starts must be nonzero across the run.
+# additionally pins the solver's work: twelve lp.*/ilp.* counters (pivots,
+# eta updates, bound flips, refactorizations, cold solves, presolve
+# reductions, B&B nodes and warm starts, and zero phase-1 iterations,
+# iteration limits and unconverged nodes) must equal their exact totals.
 echo "== ilp smoke =="
 RAPID_BENCH_STRICT=1 dune exec bench/ilp_smoke.exe
 
@@ -136,6 +137,15 @@ if [ "$FAULT_HASH" != "$FAULT_GOLDEN" ]; then
   echo "faulted report hash mismatch: $FAULT_HASH != $FAULT_GOLDEN" >&2
   exit 1
 fi
+
+# First-use registration of the faults.* counters must be domain-safe:
+# eight domains record their first fault at once, in 40 fresh processes
+# (each one registers anew; see test/faults_race.ml).
+i=0
+while [ "$i" -lt 40 ]; do
+  ./_build/default/test/faults_race.exe
+  i=$((i + 1))
+done
 
 # Point-store smoke: four contracts of lib/store via the CLI.
 #   1. A warm --cache-dir rerun's artifact is byte-identical to the cold

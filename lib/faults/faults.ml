@@ -90,10 +90,17 @@ let parse s =
     go none (String.split_on_char ',' s)
   end
 
-(* Counters are registered lazily so a process that never injects faults
-   emits exactly the counter set it did before this module existed —
+(* Counters are registered on first use so a process that never injects
+   faults emits exactly the counter set it did before this module existed —
    [Counter.to_json] dumps every registered counter, and figure/run JSON
-   byte-identity at fault-rate 0 depends on not adding rows to it. *)
+   byte-identity at fault-rate 0 depends on not adding rows to it.
+
+   First use can happen on several pool domains at once under --jobs, so
+   the record is published through an [Atomic] rather than a [lazy] (which
+   raises [CamlinternalLazy.Undefined] when two domains force it
+   together). A race only builds the record twice: [Counter.create] is
+   idempotent by name under its own lock, so both copies hold the same
+   counters. *)
 
 type counters = {
   reboots : Rapid_obs.Counter.t;
@@ -104,35 +111,42 @@ type counters = {
   meta_drops : Rapid_obs.Counter.t;
 }
 
-let counters =
-  lazy
-    (let c name = Rapid_obs.Counter.create ("faults." ^ name) in
-     {
-       reboots = c "reboots";
-       reboot_lost_packets = c "reboot_lost_packets";
-       contacts_suppressed = c "contacts_suppressed";
-       contacts_truncated = c "contacts_truncated";
-       truncated_bytes_lost = c "truncated_bytes_lost";
-       meta_drops = c "meta_drops";
-     })
+let registered : counters option Atomic.t = Atomic.make None
 
-let register_counters () = ignore (Lazy.force counters)
+let counters () =
+  match Atomic.get registered with
+  | Some c -> c
+  | None ->
+      let c name = Rapid_obs.Counter.create ("faults." ^ name) in
+      let record =
+        {
+          reboots = c "reboots";
+          reboot_lost_packets = c "reboot_lost_packets";
+          contacts_suppressed = c "contacts_suppressed";
+          contacts_truncated = c "contacts_truncated";
+          truncated_bytes_lost = c "truncated_bytes_lost";
+          meta_drops = c "meta_drops";
+        }
+      in
+      Atomic.set registered (Some record);
+      record
+
+let register_counters () = ignore (counters ())
 
 let note_reboot ~lost =
-  let c = Lazy.force counters in
+  let c = counters () in
   Rapid_obs.Counter.incr c.reboots;
   Rapid_obs.Counter.add c.reboot_lost_packets lost
 
 let note_contact_suppressed () =
-  Rapid_obs.Counter.incr (Lazy.force counters).contacts_suppressed
+  Rapid_obs.Counter.incr (counters ()).contacts_suppressed
 
 let note_contact_truncated ~lost_bytes =
-  let c = Lazy.force counters in
+  let c = counters () in
   Rapid_obs.Counter.incr c.contacts_truncated;
   Rapid_obs.Counter.add c.truncated_bytes_lost lost_bytes
 
-let note_meta_drop () =
-  Rapid_obs.Counter.incr (Lazy.force counters).meta_drops
+let note_meta_drop () = Rapid_obs.Counter.incr (counters ()).meta_drops
 
 type plan = {
   active : bool;

@@ -76,10 +76,10 @@ val contact_meta_ok : plan -> int -> bool
 
 (** {2 Observability}
 
-    The [faults.*] counters are registered lazily — building an active
-    plan (or calling {!register_counters}) creates them; a process that
-    never injects faults reports exactly the counter set it did before
-    this module existed. *)
+    The [faults.*] counters are registered on first use — building an
+    active plan, recording a fault or calling {!register_counters} creates
+    them, from any domain; a process that never injects faults reports
+    exactly the counter set it did before this module existed. *)
 
 val register_counters : unit -> unit
 (** Force registration so [faults.*] appear (possibly zero) in counter

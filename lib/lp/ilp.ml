@@ -37,6 +37,18 @@ let solve ?(max_nodes = 4000) ?max_pivots ?(int_tol = 1e-6) problem =
   let int_vars = Lp_problem.integer_vars problem in
   let defaults = Lp_problem.bounds problem in
   let st = Simplex.State.create problem in
+  (* A proven optimum must also pass the certificate; one that does not is
+     reported as an unproven incumbent. *)
+  let solved ~proven ~nodes objective solution =
+    Solved
+      {
+        objective;
+        solution;
+        proven_optimal =
+          proven && Lp_problem.certify ~int_tol problem ~objective solution;
+        nodes_explored = nodes;
+      }
+  in
   match Simplex.State.solve_root st with
   | Simplex.Infeasible -> Infeasible
   | Simplex.Unbounded -> Unbounded
@@ -47,14 +59,7 @@ let solve ?(max_nodes = 4000) ?max_pivots ?(int_tol = 1e-6) problem =
   | Simplex.Optimal root -> (
       Counter.incr c_nodes;
       match most_fractional int_vars root.solution int_tol with
-      | None ->
-          Solved
-            {
-              objective = root.objective;
-              solution = root.solution;
-              proven_optimal = true;
-              nodes_explored = 1;
-            }
+      | None -> solved ~proven:true ~nodes:1 root.objective root.solution
       | Some (v0, _) ->
           let queue = Pqueue.create () in
           let incumbent = ref None in
@@ -161,12 +166,8 @@ let solve ?(max_nodes = 4000) ?max_pivots ?(int_tol = 1e-6) problem =
           bb ();
           (match !incumbent with
           | Some (objective, solution) ->
-              Solved
-                {
-                  objective;
-                  solution;
-                  proven_optimal = not (!budget_hit || !unconverged);
-                  nodes_explored = !nodes;
-                }
+              solved
+                ~proven:(not (!budget_hit || !unconverged))
+                ~nodes:!nodes objective solution
           | None ->
               if !budget_hit || !unconverged then No_incumbent else Infeasible))

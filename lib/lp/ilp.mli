@@ -16,7 +16,12 @@
     cap ({!Simplex.Iter_limit}) has no valid bound: the node is neither
     pruned nor branched, [ilp.unconverged] is bumped, and the final result
     is demoted to [proven_optimal = false] (the seed solver silently
-    treated such truncated solves as optimal and pruned against them). *)
+    treated such truncated solves as optimal and pruned against them).
+
+    Every answer reported as proven optimal is first checked by
+    {!Lp_problem.certify} against the problem as given, since the solver
+    only ever sees the presolved model; an answer that fails is reported
+    with [proven_optimal = false]. *)
 
 type outcome = {
   objective : float;

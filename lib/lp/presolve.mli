@@ -1,5 +1,9 @@
 (** LP presolve: shrink a bounded-column model before the simplex sees it.
 
+    It first coalesces each of the problem's flat rows once, in O(nnz),
+    as a stable sort by column would (repeats summed left to right, exact
+    zeros dropped), then runs the rounds below in place.
+
     Rules applied to fixpoint (bounded rounds):
 
     {ul
@@ -37,7 +41,7 @@ type col_class =
 type t = {
   n_orig : int;
   n_red : int;
-  rows : Lp_problem.constr list;  (** kept rows, reduced indices, coalesced *)
+  rows : Lp_problem.rows;  (** kept, reduced indices, columns ascending *)
   obj : float array;  (** reduced-space objective *)
   lb : float array;  (** reduced-space tightened bounds *)
   ub : float array;
@@ -57,7 +61,7 @@ val reduce :
   obj:float array ->
   lb:float array ->
   ub:float array ->
-  rows:Lp_problem.constr list ->
+  rows:Lp_problem.rows ->
   t
 (** [reduce ~obj ~lb ~ub ~rows] presolves min obj·x s.t. rows, lb ≤ x ≤ ub.
     When [verdict = Infeasible] the remaining fields describe the partial

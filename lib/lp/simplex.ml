@@ -488,88 +488,77 @@ let dual t =
 (* Cold build: one slack per inequality row; an artificial only where the
    all-structurals-at-lower-bound start leaves the row without an in-range
    basic slack. The chosen logical column always carries +1 in its row (rows
-   are sign-normalized), so the initial basis factors as an exact identity. *)
+   are sign-normalized), so the initial basis factors as an exact identity.
+   Rows go straight into [arows], already sorted: a presolved row ascends,
+   then its slack, then its artificial. [acols] is the transpose. *)
 
-let build ~rows ~n_struct ~lb ~ub ~pivots =
-  let rows = Array.of_list rows in
-  let m = Array.length rows in
-  let residual =
-    Array.map
-      (fun { Lp_problem.coeffs; relation = _; rhs } ->
-        List.fold_left (fun acc (i, c) -> acc -. (c *. lb.(i))) rhs coeffs)
-      rows
-  in
+let build ~(rows : Lp_problem.rows) ~n_struct ~lb ~ub ~pivots =
+  let { Lp_problem.count = m; start; col; coef; rel; rhs } = rows in
+  let residual = Array.sub rhs 0 m in
   let needs_art i =
-    match rows.(i).Lp_problem.relation with
+    match rel.(i) with
     | Lp_problem.Le -> residual.(i) < 0.0
     | Lp_problem.Ge -> residual.(i) > 0.0
     | Lp_problem.Eq -> true
   in
-  let n_slack =
-    Array.fold_left
-      (fun acc r ->
-        match r.Lp_problem.relation with
-        | Lp_problem.Le | Lp_problem.Ge -> acc + 1
-        | Lp_problem.Eq -> acc)
-      0 rows
-  in
-  let n_art = ref 0 in
+  let n_slack = ref 0 and n_art = ref 0 in
   for i = 0 to m - 1 do
+    for e = start.(i) to start.(i + 1) - 1 do
+      residual.(i) <- residual.(i) -. (coef.(e) *. lb.(col.(e)))
+    done;
+    if rel.(i) <> Lp_problem.Eq then incr n_slack;
     if needs_art i then incr n_art
   done;
-  let art_start = n_struct + n_slack in
+  let art_start = n_struct + !n_slack in
   let n = art_start + !n_art in
-  let struct_nnz =
-    Array.fold_left
-      (fun acc r -> acc + List.length r.Lp_problem.coeffs)
-      0 rows
-  in
-  let total_nnz = struct_nnz + n_slack + !n_art in
-  let trows = Array.make total_nnz 0 in
-  let tcols = Array.make total_nnz 0 in
-  let tvals = Array.make total_nnz 0.0 in
+  let total_nnz = start.(m) + !n_slack + !n_art in
+  let rptr = Array.make (m + 1) 0 in
+  let rcol = Array.make total_nnz 0 in
+  let rval = Array.make total_nnz 0.0 in
   let nt = ref 0 in
-  let push r c v =
-    trows.(!nt) <- r;
-    tcols.(!nt) <- c;
-    tvals.(!nt) <- v;
+  let push c v =
+    rcol.(!nt) <- c;
+    rval.(!nt) <- v;
     incr nt
   in
   let b = Array.make m 0.0 in
   let basis = Array.make m (-1) in
   let slack_idx = ref n_struct in
   let art_idx = ref art_start in
-  Array.iteri
-    (fun i { Lp_problem.coeffs; relation; rhs } ->
-      (* The row's basic variable (slack or artificial) must form a unit
-         column, so rows whose natural basic coefficient would be -1 are
-         negated wholesale. *)
-      let flip =
-        match relation with
-        | Lp_problem.Le -> residual.(i) < 0.0
-        | Lp_problem.Ge -> residual.(i) <= 0.0
-        | Lp_problem.Eq -> residual.(i) < 0.0
-      in
-      let s = if flip then -1.0 else 1.0 in
-      List.iter (fun (j, c) -> push i j (s *. c)) coeffs;
-      b.(i) <- s *. rhs;
-      (match relation with
-      | Lp_problem.Le ->
-          push i !slack_idx s;
-          if residual.(i) >= 0.0 then basis.(i) <- !slack_idx;
-          incr slack_idx
-      | Lp_problem.Ge ->
-          push i !slack_idx (-.s);
-          if residual.(i) <= 0.0 then basis.(i) <- !slack_idx;
-          incr slack_idx
-      | Lp_problem.Eq -> ());
-      if needs_art i then begin
-        push i !art_idx 1.0;
-        basis.(i) <- !art_idx;
-        incr art_idx
-      end)
-    rows;
-  let acols = Sparse.of_arrays ~m ~n ~rows:trows ~cols:tcols ~vals:tvals in
+  for i = 0 to m - 1 do
+    (* The row's basic variable (slack or artificial) must form a unit
+       column, so rows whose natural basic coefficient would be -1 are
+       negated wholesale. *)
+    let flip =
+      match rel.(i) with
+      | Lp_problem.Le -> residual.(i) < 0.0
+      | Lp_problem.Ge -> residual.(i) <= 0.0
+      | Lp_problem.Eq -> residual.(i) < 0.0
+    in
+    let s = if flip then -1.0 else 1.0 in
+    for e = start.(i) to start.(i + 1) - 1 do
+      push col.(e) (s *. coef.(e))
+    done;
+    b.(i) <- s *. rhs.(i);
+    (match rel.(i) with
+    | Lp_problem.Le ->
+        push !slack_idx s;
+        if residual.(i) >= 0.0 then basis.(i) <- !slack_idx;
+        incr slack_idx
+    | Lp_problem.Ge ->
+        push !slack_idx (-.s);
+        if residual.(i) <= 0.0 then basis.(i) <- !slack_idx;
+        incr slack_idx
+    | Lp_problem.Eq -> ());
+    if needs_art i then begin
+      push !art_idx 1.0;
+      basis.(i) <- !art_idx;
+      incr art_idx
+    end;
+    rptr.(i + 1) <- !nt
+  done;
+  let arows = Sparse.create ~m:n ~n:m ~colptr:rptr ~rowind:rcol ~values:rval in
+  let acols = Sparse.transpose arows in
   let t =
     {
       m;
@@ -577,7 +566,7 @@ let build ~rows ~n_struct ~lb ~ub ~pivots =
       n_struct;
       art_start;
       acols;
-      arows = Sparse.transpose acols;
+      arows;
       b;
       xb = Array.make m 0.0;
       basis;
@@ -771,7 +760,7 @@ module State = struct
     | None ->
         let p =
           Presolve.reduce ~obj:st.obj ~lb:st.orig_lb ~ub:st.orig_ub
-            ~rows:(Lp_problem.constraints st.problem)
+            ~rows:(Lp_problem.rows st.problem)
         in
         st.pre <- Some p;
         p

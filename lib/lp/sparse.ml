@@ -6,54 +6,18 @@ type t = {
   values : float array;
 }
 
-let of_arrays ~m ~n ~rows ~cols ~vals =
-  let k = Array.length rows in
-  if Array.length cols <> k || Array.length vals <> k then
-    invalid_arg "Sparse.of_arrays";
-  (* Canonical order: column-major, rows ascending, via a permutation so
-     the caller's arrays stay untouched. Coalescing duplicates here keeps
-     every downstream kernel free of repeated-cell special cases. *)
-  let perm = Array.init k (fun i -> i) in
-  Array.sort
-    (fun i1 i2 ->
-      if cols.(i1) <> cols.(i2) then compare cols.(i1) cols.(i2)
-      else if rows.(i1) <> rows.(i2) then compare rows.(i1) rows.(i2)
-      else compare i1 i2)
-    perm;
-  let count = ref 0 in
-  for e = 0 to k - 1 do
-    let i = perm.(e) in
-    if rows.(i) < 0 || rows.(i) >= m || cols.(i) < 0 || cols.(i) >= n then
-      invalid_arg "Sparse.of_arrays";
-    if
-      e = 0
-      ||
-      let p = perm.(e - 1) in
-      rows.(p) <> rows.(i) || cols.(p) <> cols.(i)
-    then incr count
-  done;
-  let colptr = Array.make (n + 1) 0 in
-  let rowind = Array.make !count 0 in
-  let values = Array.make !count 0.0 in
-  let out = ref (-1) in
-  for e = 0 to k - 1 do
-    let i = perm.(e) in
-    let fresh =
-      e = 0
-      ||
-      let p = perm.(e - 1) in
-      rows.(p) <> rows.(i) || cols.(p) <> cols.(i)
-    in
-    if fresh then begin
-      incr out;
-      rowind.(!out) <- rows.(i);
-      values.(!out) <- vals.(i);
-      colptr.(cols.(i) + 1) <- colptr.(cols.(i) + 1) + 1
-    end
-    else values.(!out) <- values.(!out) +. vals.(i)
-  done;
-  for c = 1 to n do
-    colptr.(c) <- colptr.(c) + colptr.(c - 1)
+let create ~m ~n ~colptr ~rowind ~values =
+  let bad () = invalid_arg "Sparse.create" in
+  if Array.length colptr <> n + 1 || colptr.(0) <> 0 then bad ();
+  let k = colptr.(n) in
+  if Array.length rowind <> k || Array.length values <> k then bad ();
+  for j = 0 to n - 1 do
+    if colptr.(j + 1) < colptr.(j) || colptr.(j + 1) > k then bad ();
+    for e = colptr.(j) to colptr.(j + 1) - 1 do
+      let i = rowind.(e) in
+      if i < 0 || i >= m || (e > colptr.(j) && i <= rowind.(e - 1)) then
+        bad ()
+    done
   done;
   { m; n; colptr; rowind; values }
 

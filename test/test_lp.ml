@@ -518,8 +518,141 @@ let test_ilp_warm_starts_counted () =
   if warm < nodes - 1 then
     Alcotest.failf "expected >= %d warm starts, got %d" (nodes - 1) warm
 
+(* The certificate that Ilp.solve runs before it reports a proven optimum
+   rejects each kind of violation on its own. Row x0 - x1 <= 0.5, boxes
+   [0, 1], both columns integral, objective -x0 - x1. *)
+let test_ilp_certificate () =
+  let p = Lp_problem.create ~num_vars:2 in
+  Lp_problem.set_objective p [ (0, -1.0); (1, -1.0) ];
+  Lp_problem.add_constraint p [ (0, 1.0); (1, -1.0) ] Lp_problem.Le 0.5;
+  for v = 0 to 1 do
+    Lp_problem.set_upper p v 1.0;
+    Lp_problem.mark_integer p v
+  done;
+  let check what want ~objective x =
+    Alcotest.(check bool) what want (Lp_problem.certify p ~objective x)
+  in
+  check "feasible integral point" true ~objective:(-2.0) [| 1.0; 1.0 |];
+  check "row violated" false ~objective:(-1.0) [| 1.0; 0.0 |];
+  check "box violated" false ~objective:(-4.0) [| 2.0; 2.0 |];
+  check "fractional" false ~objective:(-1.0) [| 0.5; 0.5 |];
+  check "objective misreported" false ~objective:(-1.9) [| 1.0; 1.0 |];
+  check "NaN" false ~objective:(-1.0) [| nan; 1.0 |]
+
+(* Every setter rejects non-finite input, with a message naming the
+   argument, and leaves the problem as it was. *)
+let expect_invalid ~naming f =
+  match f () with
+  | () -> Alcotest.failf "accepted a bad %s" naming
+  | exception Invalid_argument msg ->
+      if not (Astring.String.is_infix ~affix:naming msg) then
+        Alcotest.failf "message %S does not name the %s" msg naming
+
+let test_objective_rejects_non_finite () =
+  let p = Lp_problem.create ~num_vars:2 in
+  List.iter
+    (fun c ->
+      expect_invalid ~naming:"coefficient" (fun () ->
+          Lp_problem.set_objective p [ (0, 1.0); (1, c) ]))
+    [ nan; infinity; neg_infinity ];
+  Alcotest.(check (array (float 0.0)))
+    "objective untouched" [| 0.0; 0.0 |] (Lp_problem.objective p)
+
+let test_row_rejects_non_finite () =
+  let p = Lp_problem.create ~num_vars:2 in
+  List.iter
+    (fun v ->
+      expect_invalid ~naming:"coefficient" (fun () ->
+          Lp_problem.add_constraint p [ (0, 1.0); (1, v) ] Lp_problem.Le 1.0);
+      expect_invalid ~naming:"rhs" (fun () ->
+          Lp_problem.add_constraint p [ (0, 1.0) ] Lp_problem.Ge v))
+    [ nan; infinity; neg_infinity ];
+  Alcotest.(check int) "no row added" 0
+    (List.length (Lp_problem.constraints p))
+
+let test_lower_rejects_non_finite () =
+  let p = Lp_problem.create ~num_vars:1 in
+  List.iter
+    (fun l ->
+      expect_invalid ~naming:"lower bound" (fun () ->
+          Lp_problem.set_lower p 0 l))
+    [ nan; infinity; neg_infinity; -1.0 ];
+  Lp_problem.set_lower p 0 0.5;
+  Alcotest.(check (float 0.0))
+    "finite bound kept" 0.5
+    (fst (Lp_problem.bounds p).(0))
+
+let test_upper_rejects_nan () =
+  let p = Lp_problem.create ~num_vars:1 in
+  List.iter
+    (fun u ->
+      expect_invalid ~naming:"upper bound" (fun () ->
+          Lp_problem.set_upper p 0 u))
+    [ nan; neg_infinity; -1.0 ];
+  Lp_problem.set_upper p 0 2.0;
+  Lp_problem.set_upper p 0 infinity;
+  Alcotest.(check (float 0.0))
+    "+inf accepted" infinity
+    (snd (Lp_problem.bounds p).(0))
+
 (* ------------------------------------------------------------------ *)
 (* Properties. *)
+
+(* Flat rows as a list, one entry per term. *)
+let constrs_of (r : Lp_problem.rows) =
+  List.init r.count (fun i ->
+      let s = r.start.(i) in
+      {
+        Lp_problem.coeffs =
+          List.init (r.start.(i + 1) - s) (fun k ->
+              (r.col.(s + k), r.coef.(s + k)));
+        relation = r.rel.(i);
+        rhs = r.rhs.(i);
+      })
+
+(* The row store hands back exactly what was added: coefficients in the
+   order given, repeats and zeros included, through any growth of its
+   arrays; a [rows] view taken midway never sees later rows. Repeated
+   integrality marks collapse to distinct columns in first-mark order. *)
+let prop_row_store_verbatim =
+  let gen = QCheck.Gen.int_range 0 100_000 in
+  QCheck.Test.make ~name:"row store keeps rows and marks verbatim" ~count:200
+    (QCheck.make gen) (fun seed ->
+      let rng = Rng.create seed in
+      let num_vars = 1 + Rng.int rng 8 in
+      let p = Lp_problem.create ~num_vars in
+      let random_row () =
+        {
+          Lp_problem.coeffs =
+            List.init (Rng.int rng 8) (fun _ ->
+                ( Rng.int rng num_vars,
+                  if Rng.bool rng then 0.0 else Rng.uniform rng (-5.0) 5.0 ));
+          relation =
+            (match Rng.int rng 3 with
+            | 0 -> Lp_problem.Le
+            | 1 -> Lp_problem.Eq
+            | _ -> Lp_problem.Ge);
+          rhs = Rng.uniform rng (-5.0) 5.0;
+        }
+      in
+      let add (c : Lp_problem.constr) =
+        Lp_problem.add_constraint p c.coeffs c.relation c.rhs
+      in
+      let first = List.init (Rng.int rng 30) (fun _ -> random_row ()) in
+      List.iter add first;
+      let view = Lp_problem.rows p in
+      let later = List.init (Rng.int rng 30) (fun _ -> random_row ()) in
+      List.iter add later;
+      let marks = List.init (Rng.int rng 20) (fun _ -> Rng.int rng num_vars) in
+      List.iter (Lp_problem.mark_integer p) marks;
+      let first_marks =
+        List.fold_left
+          (fun acc v -> if List.mem v acc then acc else acc @ [ v ])
+          [] marks
+      in
+      Lp_problem.constraints p = first @ later
+      && constrs_of view = first
+      && Lp_problem.integer_vars p = first_marks)
 
 (* Random LP with column bounds; the same program with bounds spelled as
    rows, fed to the seed's dense solver, must agree on the verdict and
@@ -753,6 +886,26 @@ let build_random_bounded rng =
     let coeffs =
       List.init num_vars (fun i -> (i, Rng.uniform rng (-3.0) 3.0))
       |> List.filter (fun _ -> Rng.float rng < 0.8)
+    in
+    let coeffs =
+      if coeffs = [] || Rng.float rng < 0.6 then coeffs
+      else begin
+        (* A row presolve has to coalesce: one coefficient split into two
+           entries on its column, an explicit zero and a pair that cancels
+           exactly, in shuffled order. *)
+        let terms = Array.of_list coeffs in
+        let k = Rng.int rng (Array.length terms) in
+        let j, c = terms.(k) in
+        let part = Rng.uniform rng (-1.0) 1.0 in
+        terms.(k) <- (j, part);
+        let z = Rng.int rng num_vars and v = Rng.uniform rng 0.5 2.0 in
+        let all =
+          Array.append terms
+            [| (j, c -. part); (Rng.int rng num_vars, 0.0); (z, v); (z, -.v) |]
+        in
+        Rng.shuffle rng all;
+        Array.to_list all
+      end
     in
     let relation =
       match Rng.int rng 4 with
@@ -994,11 +1147,13 @@ let inf_norm v =
 let random_lu_matrix rng m =
   let perm = Array.init m Fun.id in
   Rng.shuffle rng perm;
-  let rows = ref [] and cols = ref [] and vals = ref [] in
+  (* per column, (row, value) entries with a repeated row summed *)
+  let cols = Array.make (2 * m) [] in
   let push i j v =
-    rows := i :: !rows;
-    cols := j :: !cols;
-    vals := v :: !vals
+    cols.(j) <-
+      (match List.assoc_opt i cols.(j) with
+      | Some w -> (i, w +. v) :: List.remove_assoc i cols.(j)
+      | None -> (i, v) :: cols.(j))
   in
   for j = 0 to m - 1 do
     let off = ref 0.0 in
@@ -1019,8 +1174,13 @@ let random_lu_matrix rng m =
       push (Rng.int rng m) j (if Rng.bool rng then v else -.v)
     done
   done;
-  Sparse.of_arrays ~m ~n:(2 * m) ~rows:(Array.of_list !rows)
-    ~cols:(Array.of_list !cols) ~vals:(Array.of_list !vals)
+  let cols = Array.map (List.sort compare) cols in
+  let colptr = Array.make ((2 * m) + 1) 0 in
+  Array.iteri (fun j c -> colptr.(j + 1) <- colptr.(j) + List.length c) cols;
+  let entries = List.concat (Array.to_list cols) in
+  Sparse.create ~m ~n:(2 * m) ~colptr
+    ~rowind:(Array.of_list (List.map fst entries))
+    ~values:(Array.of_list (List.map snd entries))
 
 (* Relative residuals ‖B·x − b‖∞ / (‖B‖∞·‖x‖∞ + ‖b‖∞) of FTRAN and the
    same for BTRAN against Bᵀ, on random right-hand sides. *)
@@ -1116,7 +1276,7 @@ let prop_presolve_postsolve_roundtrip =
       let bnds = Lp_problem.bounds p in
       let lb = Array.map fst bnds and ub = Array.map snd bnds in
       let rows = Lp_problem.constraints p in
-      let pre = Presolve.reduce ~obj ~lb ~ub ~rows in
+      let pre = Presolve.reduce ~obj ~lb ~ub ~rows:(Lp_problem.rows p) in
       let lift x_red =
         match Presolve.postsolve pre ~cur_lb:lb ~cur_ub:ub ~x_red with
         | `Unbounded -> (
@@ -1161,7 +1321,7 @@ let prop_presolve_postsolve_roundtrip =
               (fun (c : Lp_problem.constr) ->
                 Lp_problem.add_constraint red c.Lp_problem.coeffs
                   c.Lp_problem.relation c.Lp_problem.rhs)
-              pre.Presolve.rows;
+              (constrs_of pre.Presolve.rows);
             Array.iteri
               (fun i lo ->
                 Lp_problem.set_lower red i lo;
@@ -1195,6 +1355,7 @@ let qcheck_cases =
       prop_warm_parity_sparse_vs_dense;
       prop_presolve_postsolve_roundtrip;
       prop_lu_solves_after_updates;
+      prop_row_store_verbatim;
     ]
 
 let () =
@@ -1227,6 +1388,18 @@ let () =
             test_ilp_infeasible;
           Alcotest.test_case "warm starts counted" `Quick
             test_ilp_warm_starts_counted;
+          Alcotest.test_case "certificate" `Quick test_ilp_certificate;
+        ] );
+      ( "problem",
+        [
+          Alcotest.test_case "objective rejects non-finite" `Quick
+            test_objective_rejects_non_finite;
+          Alcotest.test_case "row rejects non-finite" `Quick
+            test_row_rejects_non_finite;
+          Alcotest.test_case "lower bound rejects non-finite" `Quick
+            test_lower_rejects_non_finite;
+          Alcotest.test_case "upper bound rejects NaN" `Quick
+            test_upper_rejects_nan;
         ] );
       ("properties", qcheck_cases);
     ]
