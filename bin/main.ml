@@ -277,6 +277,16 @@ let run_cmd =
     Runners.set_cache_dir cache_dir;
     let spec = protocol_conv (metric_of_string metric_name) proto in
     let params = Params.get profile in
+    (* A malformed trace file is bad input: one line on stderr, exit 2. *)
+    let file_trace =
+      Option.map
+        (fun path ->
+          try Rapid_trace.Trace_io.load path
+          with Failure msg ->
+            Printf.eprintf "rapid: %s: %s\n" path msg;
+            exit 2)
+        trace_file
+    in
     let with_tracer f =
       match events_path with
       | None -> f Rapid_obs.Tracer.null
@@ -288,9 +298,8 @@ let run_cmd =
     in
     let reports =
       with_tracer (fun tracer ->
-          match trace_file with
-          | Some path ->
-              let trace = Rapid_trace.Trace_io.load path in
+          match file_trace with
+          | Some trace ->
               let rng =
                 Rapid_prelude.Rng.create params.Params.base_seed
               in
@@ -517,8 +526,9 @@ let hardness_cmd =
   Cmd.v (Cmd.info "hardness" ~doc) Term.(const run $ const ())
 
 (* Every bad input exits 2: a malformed flag (cmdliner's own code for it
-   is 124) and a file the OS refuses to open or create (a [Sys_error],
-   one line on stderr instead of cmdliner's internal-error trace). Other
+   is 124), a file the OS refuses to open or create (a [Sys_error], one
+   line on stderr instead of cmdliner's internal-error trace) and a
+   malformed [run --trace] file (caught where it is loaded). Other
    exceptions are bugs and keep cmdliner's internal-error code, 125. *)
 let () =
   let doc = "RAPID: DTN routing as a resource allocation problem (reproduction)" in

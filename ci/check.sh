@@ -242,5 +242,14 @@ NO_DIR="${TMPDIR:-/tmp}/rapid_no_such_dir"
 rm -rf "$NO_DIR"
 expect_bad_input "No such file or directory" trace --days 1 --out "$NO_DIR/sub"
 [ "$(wc -l < "$CLI_OUT")" -eq 1 ]
+# A malformed trace file names its bad line (an infinite duration used to
+# hang the workload generator), and an infinite reboot rate is refused at
+# parse time (it used to hang the fault planner).
+BAD_TRACE="${TMPDIR:-/tmp}/rapid_bad_trace.txt"
+printf 'rapid-trace 1\nnodes 2\nduration inf\ncontact 1 0 1 100\n' > "$BAD_TRACE"
+expect_bad_input "line 3: bad duration" run --trace "$BAD_TRACE" --load 1
+[ "$(wc -l < "$CLI_OUT")" -eq 1 ]
+expect_bad_input "reboots wants a finite rate" run --load 1 --faults reboots=inf
+[ "$(grep -c "reboots wants a finite rate" "$CLI_OUT")" -eq 1 ]
 
 echo "All checks passed."

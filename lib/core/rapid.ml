@@ -40,27 +40,6 @@ let c_meta_ack_bytes = Rapid_obs.Counter.create "rapid.meta_ack_bytes"
 let c_meta_table_bytes = Rapid_obs.Counter.create "rapid.meta_table_bytes"
 let c_meta_entry_bytes = Rapid_obs.Counter.create "rapid.meta_entry_bytes"
 
-(* One destination cell of a node's position index: that destination's
-   buffered packets as (created, id, size) triples sorted in delivery
-   order, plus byte prefix sums, stamped with the (node, dst) cell
-   version they were built from. *)
-type pos_cell = {
-  pc_ver : int;
-  pc_arr : (float * int * int) array;
-  pc_prefix : int array;
-}
-
-(* A node's persistent position index. [pi_epoch] is the buffer epoch the
-   cells describe (-1 = never synced); a sync at a newer epoch re-sorts
-   only the destination cells whose (node, dst) version moved and keeps
-   every other cell untouched — the kept cells are bit-identical to what
-   a from-scratch rebuild would produce, because an unmoved version pins
-   the cell's entry set. *)
-type pos_index = {
-  mutable pi_epoch : int;
-  pi_cells : (int, pos_cell) Hashtbl.t;  (* dst -> cell *)
-}
-
 let make params : Protocol.packed =
   (module struct
     type t = {
@@ -87,35 +66,16 @@ let make params : Protocol.packed =
          budget cut left unsent; re-offered (re-materialized from the
          current db) at the next exchange with that peer. *)
       meta_backlog : (int * int, (int * int, unit) Hashtbl.t) Hashtbl.t;
-      (* Per-contact cache of buffer position indexes (cleared each
-         contact): transfers would otherwise rescan the receiver's buffer
-         per packet. Entries go slightly stale within a contact; the next
-         contact's refresh corrects them. Values carry the contact_seq
-         they were built under, asserted on every lookup. *)
-      contact_indexes : (int, int * pos_index) Hashtbl.t;
-      (* node -> its incrementally-synced position index. The index is a
-         pure function of buffer contents; a sync re-sorts only the
-         destination cells whose (node, dst) cell version moved since
-         they were built and reuses every other cell bit-identically. *)
-      pos_cache : (int, pos_index) Hashtbl.t;
+      (* Per-node buffer positions, rebuilt when the buffer's epoch moved.
+         [plan] syncs the receiver's; [on_transfer] reads it unsynced, so
+         a contact's transfers see the positions its plan ranked by. *)
+      pos : Position_index.t array;
       (* Believed-rate cache (Eq. 9): rates stamped with
          (Replica_db.version, Meeting_matrix.row_version) and reused
          until either input moves. See Rate_cache / DESIGN §3a. *)
       rcache : Rate_cache.t;
-      (* Contact sequence number; stamps contact_indexes entries so
-         cached_index can assert it never serves across contacts. *)
-      mutable contact_seq : int;
-      (* Per (node, dst) buffer-cell version: bumped whenever a copy
-         destined to [dst] is added to or removed from [node]'s buffer.
-         [refresh_own] skips a whole destination cell when neither its
-         version nor the pair's transfer-sample count moved — every
-         n_meet estimate (and hence every hysteresis verdict) of the
-         previous refresh still stands. *)
-      cell_ver : Dense.Int_mat.t;
-      (* node -> (cell versions, pair counts) seen at its last refresh. *)
-      refresh_memo : (int, int array * int array) Hashtbl.t;
-      (* Scratch: (packet id, new n_meet) pairs a refresh must write. *)
-      refresh_changed : (int * int) Sortbuf.t;
+      (* Scratch: (packet, new n_meet) pairs a refresh must write. *)
+      refresh_changed : (Packet.t * int) Sortbuf.t;
       (* own_n.(node).(packet id): mirror of the n_meet recorded in
          dbs.(node) for holder [node] itself (-1 = no entry), kept in
          lockstep with every write path. Turns the per-entry hysteresis
@@ -125,10 +85,9 @@ let make params : Protocol.packed =
          non-buffered packet) is never read. *)
       mutable own_n : int array array;
       (* Reused per-call scratch (reset, never re-created): the
-         position-index accumulation arena, the metadata-delta dedup set
-         (indexed by packet id * num_nodes + holder id, generation-stamped
-         so "clearing" is one counter bump), and the delta sort buffer. *)
-      scratch_by_dst : (int, (float * int * int) list ref) Hashtbl.t;
+         metadata-delta dedup set (indexed by packet id * num_nodes +
+         holder id, generation-stamped so "clearing" is one counter
+         bump) and the delta sort buffer. *)
       mutable delta_seen : int array;
       mutable delta_gen : int;
       delta_buf : Replica_db.entry Sortbuf.t;
@@ -173,15 +132,10 @@ let make params : Protocol.packed =
         meet_count = Array.make n 0;
         last_table_sync = Dense.Int_mat.create n;
         meta_backlog = Hashtbl.create 16;
-        contact_indexes = Hashtbl.create 4;
-        pos_cache = Hashtbl.create 16;
+        pos = Array.init n (fun _ -> Position_index.create ());
         rcache = Rate_cache.create ~num_nodes:n;
-        contact_seq = 0;
-        cell_ver = Dense.Int_mat.create n;
-        refresh_memo = Hashtbl.create 16;
         refresh_changed = Sortbuf.create ();
         own_n = Array.init n (fun _ -> [||]);
-        scratch_by_dst = Hashtbl.create 16;
         delta_seen = [||];
         delta_gen = 0;
         delta_buf = Sortbuf.create ();
@@ -215,10 +169,6 @@ let make params : Protocol.packed =
       in
       row.(id) <- n
 
-    let bump_cell t node dst =
-      Dense.Int_mat.set t.cell_ver node dst
-        (Dense.Int_mat.get t.cell_ver node dst + 1)
-
     let view t node =
       match params.channel with
       | Control_channel.Instant_global -> t.truth
@@ -227,10 +177,9 @@ let make params : Protocol.packed =
     (* B_j: expected transfer opportunity between [holder] and [dst]. *)
     let b_avg t ~holder ~dst =
       let x, y = if holder < dst then (holder, dst) else (dst, holder) in
-      match Dense.Cumulative_grid.value t.pair_transfer x y with
-      | Some v -> v
-      | None ->
-          Moving_average.Cumulative.value_or t.global_transfer ~default:1e6
+      Dense.Cumulative_grid.value_or t.pair_transfer x y
+        ~default:
+          (Moving_average.Cumulative.value_or t.global_transfer ~default:1e6)
 
     (* "When two nodes never meet, even via three intermediate nodes, we
        set the expected inter-meeting time to infinity" (§4.1.2): an
@@ -242,7 +191,7 @@ let make params : Protocol.packed =
 
     (* n_j(i) for a freshly created packet, O(1): only the bytes of
        same-destination packets ahead in delivery order (created, then id)
-       matter, and a just-created packet is strictly last in its cell —
+       matter, and a just-created packet is strictly last among them —
        the engine hands out ids in workload order and both workload
        generators emit specs sorted by creation time, so every other copy
        anywhere carries a smaller (created, id). The per-destination byte
@@ -304,107 +253,14 @@ let make params : Protocol.packed =
         end
       end
 
-    (* Delivery order within a destination cell: (created, id, size)
-       triples, id unique — a total order, so any comparison sort yields
-       the same sequence. Monomorphic on purpose: polymorphic [compare]
-       on boxed tuples costs a C call per comparison in the hot sorts. *)
-    let cmp_cell (c1, i1, s1) (c2, i2, s2) =
-      match Float.compare c1 c2 with
-      | 0 -> ( match Int.compare i1 i2 with 0 -> Int.compare s1 s2 | n -> n)
-      | n -> n
-
-    (* Per-destination index over a node's buffer: entries sorted in
-       delivery order (created, then id) with byte prefix sums, so the
-       would-be queue position of any packet is a binary search instead of
-       a buffer scan per candidate. The index is persistent and synced
-       incrementally: when the buffer epoch moved, one slot-order walk
-       collects the entries of destinations whose cell version changed
-       (into the reused [t.scratch_by_dst] arena), only those cells are
-       re-sorted (a total order, so the walk order never shows), and cells
-       whose version moved but have no surviving entries are dropped.
-       Unchanged-version cells are reused as-is. [c_position_index_builds]
-       counts these syncs. *)
+    (* Rebuild [node]'s position index if its buffer moved since the last
+       sync; [c_position_index_builds] counts the rebuilds. *)
     let sync_index t node =
-      let pi =
-        match Hashtbl.find_opt t.pos_cache node with
-        | Some pi -> pi
-        | None ->
-            let pi = { pi_epoch = -1; pi_cells = Hashtbl.create 16 } in
-            Hashtbl.replace t.pos_cache node pi;
-            pi
-      in
-      let buffer = t.env.Env.buffers.(node) in
-      let ep = Buffer.epoch buffer in
-      if pi.pi_epoch <> ep then begin
-        Rapid_obs.Counter.incr c_position_index_builds;
-        let by_dst = t.scratch_by_dst in
-        Hashtbl.reset by_dst;
-        Buffer.fold_unordered buffer ~init:()
-          ~f:(fun () (e : Buffer.entry) ->
-            let p = e.packet in
-            let dst = p.Packet.dst in
-            let stale =
-              match Hashtbl.find_opt pi.pi_cells dst with
-              | Some c -> c.pc_ver <> Dense.Int_mat.get t.cell_ver node dst
-              | None -> true
-            in
-            if stale then begin
-              let cell =
-                match Hashtbl.find_opt by_dst dst with
-                | Some c -> c
-                | None ->
-                    let c = ref [] in
-                    Hashtbl.replace by_dst dst c;
-                    c
-              in
-              cell := (p.Packet.created, p.Packet.id, p.Packet.size) :: !cell
-            end);
-        (* A cell whose version moved but collected nothing lost its last
-           entry (drop / delivery / ack purge): remove it, as a rebuild
-           would. Unmoved versions are untouchable — every buffer
-           mutation bumps its (node, dst) cell. *)
-        let dead = ref [] in
-        Hashtbl.iter
-          (fun dst (c : pos_cell) ->
-            if
-              c.pc_ver <> Dense.Int_mat.get t.cell_ver node dst
-              && not (Hashtbl.mem by_dst dst)
-            then dead := dst :: !dead)
-          pi.pi_cells;
-        List.iter (Hashtbl.remove pi.pi_cells) !dead;
-        Hashtbl.iter
-          (fun dst cell ->
-            let arr = Array.of_list !cell in
-            Array.sort cmp_cell arr;
-            let prefix = Array.make (Array.length arr + 1) 0 in
-            Array.iteri
-              (fun i (_, _, size) -> prefix.(i + 1) <- prefix.(i) + size)
-              arr;
-            Hashtbl.replace pi.pi_cells dst
-              { pc_ver = Dense.Int_mat.get t.cell_ver node dst;
-                pc_arr = arr; pc_prefix = prefix })
-          by_dst;
-        pi.pi_epoch <- ep
-      end;
-      pi
+      if Position_index.sync t.pos.(node) t.env.Env.buffers.(node) then
+        Rapid_obs.Counter.incr c_position_index_builds
 
-    (* Bytes queued ahead of [packet] (strictly earlier in delivery order,
-       excluding the packet itself) at the node the index describes. *)
-    let bytes_before (index : pos_index) (packet : Packet.t) =
-      match Hashtbl.find_opt index.pi_cells packet.Packet.dst with
-      | None -> 0
-      | Some c ->
-          let arr = c.pc_arr in
-          let key = (packet.Packet.created, packet.Packet.id, min_int) in
-          let lo = ref 0 and hi = ref (Array.length arr) in
-          while !lo < !hi do
-            let mid = (!lo + !hi) / 2 in
-            if cmp_cell arr.(mid) key < 0 then lo := mid + 1 else hi := mid
-          done;
-          c.pc_prefix.(!lo)
-
-    let n_meet_from_index t ~node index (packet : Packet.t) =
-      let b = bytes_before index packet in
+    let n_meet_from_index t ~node (packet : Packet.t) =
+      let b = Position_index.bytes_before t.pos.(node) packet in
       let avg =
         Float.max 1.0 (b_avg t ~holder:node ~dst:packet.Packet.dst)
       in
@@ -420,7 +276,6 @@ let make params : Protocol.packed =
       else a -. a'
 
     let on_created t ~now (p : Packet.t) =
-      bump_cell t p.Packet.src p.Packet.dst;
       let n = n_meet_created t ~node:p.Packet.src ~packet:p in
       own_set t p.Packet.src p.Packet.id n;
       Replica_db.set_holder t.truth ~packet:p ~holder_id:p.Packet.src ~n_meet:n
@@ -461,21 +316,6 @@ let make params : Protocol.packed =
           Send_queue.push_entries t.queue ~cmp:by_deadline alive;
           Send_queue.push_entries t.queue ~cmp:by_age dead
 
-    let cached_index t node =
-      match Hashtbl.find_opt t.contact_indexes node with
-      | Some (seq, idx) ->
-          (* Entries go slightly stale within a contact (receiver-side
-             buffer mutations), which is sound only because on_contact
-             resets the table: a served index must come from THIS
-             contact. A refactor that decouples the reset from the cache
-             trips this instead of silently serving stale positions. *)
-          assert (seq = t.contact_seq);
-          idx
-      | None ->
-          let idx = sync_index t node in
-          Hashtbl.replace t.contact_indexes node (t.contact_seq, idx);
-          idx
-
     let plan_push t p key =
       let cap = Array.length t.plan_key in
       if t.plan_len = cap then begin
@@ -495,7 +335,7 @@ let make params : Protocol.packed =
       Rapid_obs.Counter.incr c_rank_calls;
       Rapid_obs.Timer.time t_rank @@ fun () ->
       Send_queue.begin_plan t.queue t.env ~sender ~receiver;
-      let recv_index = cached_index t receiver in
+      sync_index t receiver;
       t.memo_gen <- t.memo_gen + 1;
       t.plan_len <- 0;
       (* One slot-order walk over the sender's buffer — no materialized
@@ -546,7 +386,7 @@ let make params : Protocol.packed =
                            ~n_meet:stale.Replica_db.n_meet)
                 | None -> r0
               in
-              let b = bytes_before recv_index p in
+              let b = Position_index.bytes_before t.pos.(receiver) p in
               let n_recv =
                 max 1
                   (int_of_float
@@ -614,67 +454,35 @@ let make params : Protocol.packed =
       (* Re-estimate n_meet for every buffered packet, but only mark an
          entry changed when the estimate moved — "the node only sends
          information about packets whose information changed since the
-         last exchange" (§4.2). Work is per destination cell of the
-         position index: a cell whose contents (cell version) and B_j
-         inputs (pair sample count) are untouched since the last refresh
-         reproduces the exact n_meet of that refresh for every entry, so
-         its hysteresis verdicts stand and the whole cell is skipped. *)
-      let index = sync_index t node in
-      let vers, counts =
-        match Hashtbl.find_opt t.refresh_memo node with
-        | Some memo -> memo
-        | None ->
-            let n = t.env.Env.num_nodes in
-            let memo = (Array.make n (-1), Array.make n (-1)) in
-            Hashtbl.replace t.refresh_memo node memo;
-            memo
-      in
+         last exchange" (§4.2). *)
+      sync_index t node;
       let db = t.dbs.(node) in
       let changed = t.refresh_changed in
       Sortbuf.clear changed;
-      Hashtbl.iter
-        (fun dst (c : pos_cell) ->
-          let arr = c.pc_arr and prefix = c.pc_prefix in
-          let ver = Dense.Int_mat.get t.cell_ver node dst in
-          let x, y = if node < dst then (node, dst) else (dst, node) in
-          let cnt = Dense.Cumulative_grid.count t.pair_transfer x y in
-          (* A zero pair count falls back to the global transfer average,
-             which moves every contact — never skippable. *)
-          if not (cnt > 0 && vers.(dst) = ver && counts.(dst) = cnt) then begin
-            vers.(dst) <- ver;
-            counts.(dst) <- cnt;
-            let avg = Float.max 1.0 (b_avg t ~holder:node ~dst) in
-            Array.iteri
-              (fun i (_, id, size) ->
-                (* [prefix.(i)] is exactly the bytes strictly ahead of
-                   this entry in delivery order. *)
-                let n =
-                  max 1
-                    (int_of_float
-                       (Float.ceil (float_of_int (prefix.(i) + size) /. avg)))
-                in
-                (* Hysteresis: deep-queue jitter (17 <-> 18 meetings)
-                   barely moves the estimate but would flood the channel;
-                   small n changes matter and are always shipped. *)
-                let old = own_get t node id in
-                let unchanged =
-                  old >= 0 && (old = n || (old > 3 && abs (old - n) < 2))
-                in
-                if not unchanged then Sortbuf.push changed (id, n))
-              arr
-          end)
-        index.pi_cells;
+      Position_index.iter t.pos.(node) (fun p ~ahead ->
+          let avg =
+            Float.max 1.0 (b_avg t ~holder:node ~dst:p.Packet.dst)
+          in
+          let n =
+            max 1
+              (int_of_float
+                 (Float.ceil (float_of_int (ahead + p.Packet.size) /. avg)))
+          in
+          (* Hysteresis: deep-queue jitter (17 <-> 18 meetings) barely
+             moves the estimate but would flood the channel; small n
+             changes matter and are always shipped. *)
+          let old = own_get t node p.Packet.id in
+          let unchanged =
+            old >= 0 && (old = n || (old > 3 && abs (old - n) < 2))
+          in
+          if not unchanged then Sortbuf.push changed (p, n));
       (* Apply in ascending packet id — the order of the buffer-entry
          walk this replaces — so the update log (and every ordering
          derived from it downstream) is byte-identical. *)
-      Sortbuf.sort changed ~cmp:(fun (a, _) (b, _) -> Int.compare a b);
-      Sortbuf.iteri changed (fun _ (id, n) ->
-          let p =
-            match Buffer.find t.env.Env.buffers.(node) id with
-            | Some (e : Buffer.entry) -> e.packet
-            | None -> assert false
-          in
-          own_set t node id n;
+      Sortbuf.sort changed ~cmp:(fun ((a : Packet.t), _) ((b : Packet.t), _) ->
+          Int.compare a.Packet.id b.Packet.id);
+      Sortbuf.iteri changed (fun _ (p, n) ->
+          own_set t node p.Packet.id n;
           Replica_db.set_holder t.truth ~packet:p ~holder_id:node ~n_meet:n
             ~now;
           Replica_db.set_holder db ~packet:p ~holder_id:node ~n_meet:n ~now)
@@ -696,7 +504,6 @@ let make params : Protocol.packed =
         (fun (p : Packet.t) ->
           match Buffer.remove buffer p.Packet.id with
           | Some _ ->
-              bump_cell t node p.Packet.dst;
               t.env.Env.on_ack_purge ~now ~node p;
               Replica_db.remove_packet t.truth ~packet_id:p.Packet.id
           | None -> ())
@@ -842,8 +649,6 @@ let make params : Protocol.packed =
 
     let on_contact t { Protocol.now; a; b; budget; meta_budget; meta_ok } =
       Send_queue.begin_contact t.queue;
-      t.contact_seq <- t.contact_seq + 1;
-      Hashtbl.reset t.contact_indexes;
       Meeting_matrix.observe t.matrix ~now ~a ~b;
       t.meet_count.(a) <- t.meet_count.(a) + 1;
       t.meet_count.(b) <- t.meet_count.(b) + 1;
@@ -888,7 +693,6 @@ let make params : Protocol.packed =
             let purge node =
               Protocol.Ack_store.purge t.acks t.env ~now ~node
                 ~on_purge:(fun p ->
-                  bump_cell t node p.Packet.dst;
                   own_set t node p.Packet.id (-1);
                   Replica_db.remove_packet t.dbs.(node)
                     ~packet_id:p.Packet.id;
@@ -943,8 +747,6 @@ let make params : Protocol.packed =
       Send_queue.next t.queue t.env ~sender ~receiver ~budget
 
     let on_transfer t ~now ~sender ~receiver (p : Packet.t) ~delivered =
-      (* Delivery removes the sender's copy; a relay adds the receiver's. *)
-      bump_cell t (if delivered then sender else receiver) p.Packet.dst;
       let id = p.Packet.id in
       if delivered then begin
         if params.use_acks then begin
@@ -958,7 +760,10 @@ let make params : Protocol.packed =
         Replica_db.remove_packet t.dbs.(receiver) ~packet_id:id
       end
       else begin
-        let n = n_meet_from_index t ~node:receiver (cached_index t receiver) p in
+        (* The receiver's positions as of this contact's plan (synced
+           there, not here): the exact within-contact rule the goldens
+           pin. *)
+        let n = n_meet_from_index t ~node:receiver p in
         own_set t receiver id n;
         Replica_db.set_holder t.truth ~packet:p ~holder_id:receiver ~n_meet:n ~now;
         List.iter
@@ -1043,19 +848,12 @@ let make params : Protocol.packed =
       | None -> None
 
     let on_dropped t ~now:_ ~node (p : Packet.t) =
-      bump_cell t node p.Packet.dst;
       own_set t node p.Packet.id (-1);
       Replica_db.remove_holder t.truth ~packet_id:p.Packet.id ~holder_id:node;
       Replica_db.remove_holder t.dbs.(node) ~packet_id:p.Packet.id
         ~holder_id:node
 
     let on_reboot t ~now:_ ~node ~lost =
-      (* The emptied buffer invalidates every cell verdict at once. The
-         positional index must go too: a reboot clears the buffer without
-         bumping (node, dst) cell versions, so an incremental sync would
-         wrongly keep every cell. *)
-      Hashtbl.remove t.refresh_memo node;
-      Hashtbl.remove t.pos_cache node;
       (* The replacement replica DB below restarts the node's version
          sequence, so every believed-rate stamp this observer holds is
          poisoned. *)

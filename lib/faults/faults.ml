@@ -35,8 +35,10 @@ let parse s =
     let ( let* ) = Result.bind in
     let rate k v =
       match float_of_string_opt v with
-      | Some f when f >= 0.0 -> Ok f
-      | _ -> Error (Printf.sprintf "faults: %s wants a rate >= 0, got %S" k v)
+      | Some f when Float.is_finite f && f >= 0.0 -> Ok f
+      | _ ->
+          Error
+            (Printf.sprintf "faults: %s wants a finite rate >= 0, got %S" k v)
     in
     let prob k v =
       match float_of_string_opt v with

@@ -45,7 +45,8 @@ val is_none : config -> bool
 val parse : string -> (config, string) result
 (** Parse a CLI spec like ["reboots=1,truncate=0.2,metaloss=0.1,noshow=0.05,seed=7"].
     Keys are optional and default to {!none}'s fields; the empty string
-    is {!none}. Probabilities must lie in [0,1]. *)
+    is {!none}. Probabilities must lie in [0,1]; the reboot rate must be
+    finite and non-negative. *)
 
 val spec_string : config -> string
 (** Canonical [parse]-able rendering of a config. *)

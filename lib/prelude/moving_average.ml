@@ -10,7 +10,7 @@ module Cumulative = struct
   let value t = if t.n = 0 then None else Some (t.sum /. float_of_int t.n)
 
   let value_or t ~default =
-    match value t with Some v -> v | None -> default
+    if t.n = 0 then default else t.sum /. float_of_int t.n
 
   let count t = t.n
 end

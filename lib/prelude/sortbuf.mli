@@ -1,11 +1,12 @@
 (** Reusable push-then-sort arena.
 
     The per-contact hot paths collect a batch of items, sort it, and
-    consume it in order ([position_index] destination cells, metadata
-    delta ordering). [List.sort] / [Array.of_list] allocate a fresh
-    intermediate per batch; a [Sortbuf.t] owned by the caller amortizes
-    that to zero once the high-water mark is reached: [clear], [push]
-    each item, [sort], then [iteri].
+    consume it in order (RAPID's per-node position indexes, plan ranking
+    and refresh stamps, metadata delta ordering, send-queue segments).
+    [List.sort] / [Array.of_list] allocate a fresh intermediate per
+    batch; a [Sortbuf.t] owned by the caller amortizes that to zero once
+    the high-water mark is reached: [clear], [push] each item, [sort],
+    then [iteri].
 
     [clear] only resets the length — slots keep their last elements alive
     until overwritten, so don't park a long-lived buffer holding large

@@ -2,7 +2,8 @@ type t = { time : float; a : int; b : int; bytes : int }
 
 let make ~time ~a ~b ~bytes =
   if a = b then invalid_arg "Contact.make: self-meeting";
-  if time < 0.0 then invalid_arg "Contact.make: negative time";
+  if not (Float.is_finite time && time >= 0.0) then
+    invalid_arg "Contact.make: time not finite and >= 0";
   if bytes < 0 then invalid_arg "Contact.make: negative size";
   { time; a; b; bytes }
 

@@ -13,7 +13,7 @@ type t = {
 }
 
 val make : time:float -> a:int -> b:int -> bytes:int -> t
-(** Validates [a <> b], [time >= 0.], [bytes >= 0]. *)
+(** Validates [a <> b], a finite [time >= 0.], [bytes >= 0]. *)
 
 val involves : t -> int -> bool
 val peer_of : t -> int -> int

@@ -7,7 +7,8 @@ type t = {
 
 let create ~num_nodes ~duration ?active contacts =
   if num_nodes <= 0 then invalid_arg "Trace.create: num_nodes";
-  if duration <= 0.0 then invalid_arg "Trace.create: duration";
+  if not (Float.is_finite duration && duration > 0.0) then
+    invalid_arg "Trace.create: duration";
   List.iter
     (fun (c : Contact.t) ->
       if c.a < 0 || c.a >= num_nodes || c.b < 0 || c.b >= num_nodes then

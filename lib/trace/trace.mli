@@ -15,8 +15,9 @@ type t = private {
 
 val create :
   num_nodes:int -> duration:float -> ?active:int list -> Contact.t list -> t
-(** Sorts contacts; validates ids and times against the horizon. When
-    [active] is omitted it defaults to all nodes appearing in a contact. *)
+(** Sorts contacts; validates ids, a finite positive [duration] and
+    contact times against it. When [active] is omitted it defaults to all
+    nodes appearing in a contact. *)
 
 val num_contacts : t -> int
 val total_capacity_bytes : t -> int

@@ -20,6 +20,8 @@ let of_string s =
   let nodes = ref None in
   let duration = ref None in
   let active = ref None in
+  (* Records are checked against [nodes] and [duration] once both are
+     known, so each keeps its line number for the message. *)
   let contacts = ref [] in
   let saw_header = ref false in
   List.iteri
@@ -32,19 +34,19 @@ let of_string s =
         | [ "rapid-trace"; "1" ] -> saw_header := true
         | [ "nodes"; v ] -> (
             match int_of_string_opt v with
-            | Some v -> nodes := Some v
-            | None -> fail_line n "bad node count")
+            | Some v when v > 0 -> nodes := Some v
+            | _ -> fail_line n "bad node count")
         | [ "duration"; v ] -> (
             match float_of_string_opt v with
-            | Some v -> duration := Some v
-            | None -> fail_line n "bad duration")
+            | Some v when Float.is_finite v && v > 0.0 -> duration := Some v
+            | _ -> fail_line n "bad duration")
         | "active" :: ids ->
             let parse v =
               match int_of_string_opt v with
               | Some v -> v
               | None -> fail_line n "bad active id"
             in
-            active := Some (List.map parse ids)
+            active := Some (n, List.map parse ids)
         | [ "contact"; time; a; b; bytes ] -> (
             match
               ( float_of_string_opt time,
@@ -52,8 +54,10 @@ let of_string s =
                 int_of_string_opt b,
                 int_of_string_opt bytes )
             with
-            | Some time, Some a, Some b, Some bytes ->
-                contacts := Contact.make ~time ~a ~b ~bytes :: !contacts
+            | Some time, Some a, Some b, Some bytes -> (
+                match Contact.make ~time ~a ~b ~bytes with
+                | c -> contacts := (n, c) :: !contacts
+                | exception Invalid_argument msg -> fail_line n msg)
             | _ -> fail_line n "bad contact record")
         | _ -> fail_line n (Printf.sprintf "unrecognized record %S" line)
       end)
@@ -61,7 +65,25 @@ let of_string s =
   if not !saw_header then failwith "Trace_io: missing rapid-trace header";
   match (!nodes, !duration) with
   | Some num_nodes, Some duration ->
-      Trace.create ~num_nodes ~duration ?active:!active (List.rev !contacts)
+      let node_ok i = i >= 0 && i < num_nodes in
+      let active =
+        Option.map
+          (fun (n, ids) ->
+            if not (List.for_all node_ok ids) then
+              fail_line n "active id out of range";
+            ids)
+          !active
+      in
+      let contacts =
+        List.rev_map
+          (fun (n, (c : Contact.t)) ->
+            if not (node_ok c.a && node_ok c.b) then
+              fail_line n "contact node id out of range";
+            if c.time > duration then fail_line n "contact after duration";
+            c)
+          !contacts
+      in
+      Trace.create ~num_nodes ~duration ?active contacts
   | None, _ -> failwith "Trace_io: missing nodes record"
   | _, None -> failwith "Trace_io: missing duration record"
 

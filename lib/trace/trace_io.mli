@@ -15,7 +15,11 @@
 
 val to_string : Trace.t -> string
 val of_string : string -> Trace.t
-(** Raises [Failure] with a line-numbered message on malformed input. *)
+(** Raises [Failure] on malformed input, and nothing else: the message
+    names the offending line (an unknown or unparsable record, a
+    non-positive [nodes], a non-finite or non-positive [duration] or
+    contact time, a node id out of range, a contact after [duration]) or
+    the missing record. *)
 
 val save : string -> Trace.t -> unit
 val load : string -> Trace.t

@@ -792,12 +792,10 @@ let test_rapid_golden_reports () =
     ~avg_delay:80.632460869601246 ~avg_delay_all:244.37462959613663
     ~max_delay:384.35386238667138
 
-let test_rapid_reboot_drops_positional_index () =
-  (* A reboot clears a node's buffer without touching its (node, dst)
-     cell versions — the one mutation path where the incremental
-     position index must be dropped outright rather than synced. Were a
-     stale cell served, the protocol's own index assertions would trip
-     (test builds keep asserts on) or the runs would diverge. *)
+let test_rapid_faulted_runs_deterministic () =
+  (* Reboots wipe buffers mid-run (the position index rebuilds from the
+     moved buffer epoch, like after any other mutation): two identical
+     faulted runs must still give identical reports. *)
   let trace, workload = contention_scenario ~seed:21 in
   let run () =
     (Engine.run
@@ -953,11 +951,67 @@ let prop_rate_cache_stamps_sound =
       done;
       !ok)
 
+let prop_position_index_matches_scan =
+  (* RAPID's position index against Estimate_delay's reference scan:
+     after any add/remove/clear history, every packet of the pool,
+     buffered or not, sits behind exactly the bytes the scan counts (with
+     B = 1 the scan's n_meet is those bytes plus the packet's size). The
+     pool has few creation times, so ties must fall back to ids. *)
+  QCheck.Test.make ~name:"position index = reference scan" ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let module Rng = Rapid_prelude.Rng in
+      let rng = Rng.create seed in
+      let pool =
+        Array.init 40 (fun id ->
+            let dst = Rng.int rng 4 and size = 1 + Rng.int rng 50 in
+            packet ~id ~src:4 ~dst ~size
+              ~created:(float_of_int (Rng.int rng 8))
+              ())
+      in
+      let buffer = Buffer.create ~capacity:None in
+      let index = Position_index.create () in
+      let synced = ref (-1) in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      for _ = 1 to 120 do
+        let p = pool.(Rng.int rng 40) in
+        (match Rng.int rng 20 with
+        | 0 -> ignore (Buffer.clear buffer)
+        | k when k < 12 ->
+            if not (Buffer.mem buffer p.Packet.id) then
+              Buffer.add buffer (entry p)
+        | _ -> ignore (Buffer.remove buffer p.Packet.id));
+        if Rng.int rng 3 = 0 then begin
+          let moved = Buffer.epoch buffer <> !synced in
+          expect (Position_index.sync index buffer = moved);
+          synced := Buffer.epoch buffer;
+          expect (not (Position_index.sync index buffer));
+          let entries =
+            Buffer.fold_unordered buffer ~init:[] ~f:(fun acc e -> e :: acc)
+          in
+          let scan (q : Packet.t) =
+            Estimate_delay.n_meetings ~entries ~packet:q
+              ~avg_transfer_bytes:1.0
+            - q.Packet.size
+          in
+          Array.iter
+            (fun q -> expect (Position_index.bytes_before index q = scan q))
+            pool;
+          let visited = ref 0 in
+          Position_index.iter index (fun q ~ahead ->
+              incr visited;
+              expect (Buffer.mem buffer q.Packet.id && ahead = scan q));
+          expect (!visited = Buffer.count buffer)
+        end
+      done;
+      !ok)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_nmeet_monotone_in_position; prop_more_holders_never_slower;
       prop_rapid_meta_cap_respected; prop_lazy_rows_equal_full_closure;
-      prop_rate_cache_stamps_sound ]
+      prop_rate_cache_stamps_sound; prop_position_index_matches_scan ]
 
 let () =
   Alcotest.run "core"
@@ -1022,8 +1076,8 @@ let () =
             test_rapid_local_sends_less_metadata;
           Alcotest.test_case "meta watermark no resend" `Quick
             test_rapid_meta_watermark_no_resend;
-          Alcotest.test_case "reboot drops positional index" `Quick
-            test_rapid_reboot_drops_positional_index;
+          Alcotest.test_case "faulted runs deterministic" `Quick
+            test_rapid_faulted_runs_deterministic;
           Alcotest.test_case "drop candidate own replacement" `Quick
             test_rapid_drop_candidate_own_replacement;
           Alcotest.test_case "golden fixed-seed reports" `Slow

@@ -37,6 +37,15 @@ let test_parse () =
   (match Faults.parse "truncate=1.5" with
   | Ok _ -> Alcotest.fail "probability > 1 accepted"
   | Error _ -> ());
+  (* An infinite rate would make Faults.plan's reboot draw loop forever. *)
+  List.iter
+    (fun spec ->
+      match Faults.parse spec with
+      | Ok _ -> Alcotest.failf "%s accepted" spec
+      | Error e ->
+          if not (Astring.String.is_infix ~affix:"reboots" e) then
+            Alcotest.failf "%s: %S does not name the rate" spec e)
+    [ "reboots=inf"; "reboots=1e400"; "reboots=nan"; "reboots=-1" ];
   match Faults.parse "reboots=2,truncate=0.1,metaloss=0.25,noshow=0.05,seed=9" with
   | Ok c -> (
       (* spec_string round-trips. *)

@@ -18,9 +18,12 @@ let check_rel ?(tol = 0.05) what expected actual =
 (* Contact *)
 
 let test_contact_validation () =
-  (match Contact.make ~time:(-1.0) ~a:0 ~b:1 ~bytes:10 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative time accepted");
+  List.iter
+    (fun time ->
+      match Contact.make ~time ~a:0 ~b:1 ~bytes:10 with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "contact time %g accepted" time)
+    [ -1.0; Float.nan; Float.infinity ];
   (match Contact.make ~time:1.0 ~a:3 ~b:3 ~bytes:10 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "self-meeting accepted");
@@ -68,6 +71,12 @@ let test_trace_validation () =
    with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "contact after horizon accepted");
+  List.iter
+    (fun duration ->
+      match Trace.create ~num_nodes:2 ~duration [] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "duration %g accepted" duration)
+    [ 0.0; Float.nan; Float.infinity ];
   match
     Trace.create ~num_nodes:2 ~duration:10.0
       [ Contact.make ~time:1.0 ~a:0 ~b:5 ~bytes:1 ]
@@ -191,9 +200,30 @@ let test_io_rejects_garbage () =
   (match Trace_io.of_string "rapid-trace 1\nduration 5.0\n" with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "missing nodes accepted");
-  match Trace_io.of_string "rapid-trace 1\nnodes 2\nduration 5\ncontact x 0 1 5\n" with
+  (match Trace_io.of_string "rapid-trace 1\nnodes 2\nduration 5\ncontact x 0 1 5\n" with
   | exception Failure _ -> ()
-  | _ -> Alcotest.fail "bad contact accepted"
+  | _ -> Alcotest.fail "bad contact accepted");
+  (* Each input fails on its line, with Trace_io's own Failure: never an
+     Invalid_argument from the validators behind it. *)
+  List.iter
+    (fun (what, body, line) ->
+      match Trace_io.of_string ("rapid-trace 1\n" ^ body) with
+      | exception Failure msg ->
+          let want = Printf.sprintf "line %d:" line in
+          if not (Astring.String.is_infix ~affix:want msg) then
+            Alcotest.failf "%s: %S does not name %s" what msg want
+      | _ -> Alcotest.failf "%s accepted" what)
+    [
+      ("unknown record", "nodes 2\nduration 5\nbogus 1\n", 4);
+      ("node id >= nodes", "nodes 2\nduration 5\ncontact 1 0 2 5\n", 4);
+      ("nodes 0", "nodes 0\nduration 5\n", 2);
+      ("duration inf", "nodes 2\nduration inf\ncontact 1 0 1 5\n", 3);
+      ("duration nan", "nodes 2\nduration nan\ncontact 1 0 1 5\n", 3);
+      ("contact nan", "nodes 2\nduration 5\ncontact nan 0 1 100\n", 4);
+      ("self-meeting", "nodes 2\nduration 5\ncontact 1 1 1 5\n", 4);
+      ("contact after duration", "nodes 2\nduration 5\ncontact 9 0 1 5\n", 4);
+      ("active id >= nodes", "nodes 2\nduration 5\nactive 0 2\n", 4);
+    ]
 
 let test_io_comments_and_blanks () =
   let s =
