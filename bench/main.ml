@@ -36,9 +36,11 @@ let parse_args argv =
     | [] -> (jobs, cache_dir, List.rev ids)
     | ("--jobs" | "-j") :: n :: rest -> (
         match int_of_string_opt n with
-        | Some j -> go j cache_dir ids rest
-        | None ->
-            Printf.eprintf "bad --jobs %S (want an integer)\n" n;
+        | Some j when j >= 1 && j <= Rapid_par.Pool.max_jobs ->
+            go j cache_dir ids rest
+        | Some _ | None ->
+            Printf.eprintf "bad --jobs %S (want an integer in 1..%d)\n" n
+              Rapid_par.Pool.max_jobs;
             exit 2)
     | [ ("--jobs" | "-j") ] ->
         prerr_endline "--jobs needs a value";

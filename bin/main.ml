@@ -58,6 +58,13 @@ let count_conv =
     (fun n -> n >= 0)
     Format.pp_print_int
 
+let jobs_conv =
+  checked_conv
+    ~expected:(Printf.sprintf "an integer in 1..%d" Rapid_par.Pool.max_jobs)
+    int_of_string_opt
+    (fun n -> n >= 1 && n <= Rapid_par.Pool.max_jobs)
+    Format.pp_print_int
+
 let load_conv =
   checked_conv ~expected:"a non-negative finite number" float_of_string_opt
     (fun v -> Float.is_finite v && v >= 0.0)
@@ -122,12 +129,14 @@ let report_store_traffic () =
    (and the JSON artifacts) are bit-identical across --jobs settings. *)
 let jobs_arg =
   Arg.(
-    value & opt int 1
+    value & opt jobs_conv 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Run independent simulation cells (days, seeds) on $(docv) \
-           domains; 1 (default) is fully sequential. Results are \
-           bit-identical for every value of $(docv).")
+          (Printf.sprintf
+             "Run independent simulation cells (days, seeds) on $(docv) \
+              domains, from 1 (default, fully sequential) to %d. Results \
+              are bit-identical for every value of $(docv)."
+             Rapid_par.Pool.max_jobs))
 
 (* ------------------------------------------------------------------ *)
 

@@ -138,6 +138,18 @@ if [ "$FAULT_HASH" != "$FAULT_GOLDEN" ]; then
   exit 1
 fi
 
+# One short trace-faulted benchmark run: its seed-42 digests pin 16
+# faulted engine runs with 568 reboots, the only check that drives
+# reboots and lost exchanges through RAPID's metadata delta at scale.
+echo "== perfbench trace-faulted smoke =="
+PERF_OUT="${TMPDIR:-/tmp}/rapid_perf_faulted.txt"
+if ! ./_build/default/perfbench/benchmark.exe --workload trace-faulted \
+  --seed 42 --seconds 1 > "$PERF_OUT"; then
+  tail -n 5 "$PERF_OUT" >&2
+  echo "perfbench trace-faulted run failed" >&2
+  exit 1
+fi
+
 # First-use registration of the faults.* counters must be domain-safe:
 # eight domains record their first fault at once, in 40 fresh processes
 # (each one registers anew; see test/faults_race.ml).
@@ -238,6 +250,12 @@ expect_bad_input() {
   grep -F "$want" "$CLI_OUT" >/dev/null
 }
 expect_bad_input 'invalid value "abc"' run --load abc
+# --jobs outside 1..127 is refused before any domain starts (OCaml 5 caps
+# a process at 128 domains, the main one included).
+expect_bad_input 'invalid value "0", expected an integer in 1..127' \
+  run --load 1 --jobs 0
+expect_bad_input 'invalid value "1000", expected an integer in 1..127' \
+  run --load 1 --jobs 1000
 NO_DIR="${TMPDIR:-/tmp}/rapid_no_such_dir"
 rm -rf "$NO_DIR"
 expect_bad_input "No such file or directory" trace --days 1 --out "$NO_DIR/sub"

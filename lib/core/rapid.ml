@@ -56,16 +56,14 @@ let make params : Protocol.packed =
          instant-global channel. *)
       dbs : Replica_db.t array;
       truth : Replica_db.t;
-      last_meta_exchange : Dense.Mat.t;
+      (* The replica-metadata delta: watermarks and backlogs per directed
+         pair. *)
+      gossip : Gossip.t;
       (* meet_count.(x): meetings x has participated in; last_table_sync
          tracks the counter at the last exchange with each peer, pricing
          the "expected meeting times with nodes" row delta (§4.2). *)
       meet_count : int array;
       last_table_sync : Dense.Int_mat.t;
-      (* Per directed pair, the (packet id, holder id) delta entries a
-         budget cut left unsent; re-offered (re-materialized from the
-         current db) at the next exchange with that peer. *)
-      meta_backlog : (int * int, (int * int, unit) Hashtbl.t) Hashtbl.t;
       (* Per-node buffer positions, rebuilt when the buffer's epoch moved.
          [plan] syncs the receiver's; [on_transfer] reads it unsynced, so
          a contact's transfers see the positions its plan ranked by. *)
@@ -84,13 +82,6 @@ let make params : Protocol.packed =
          insert an own-holder entry behind its back (a merge for a
          non-buffered packet) is never read. *)
       mutable own_n : int array array;
-      (* Reused per-call scratch (reset, never re-created): the
-         metadata-delta dedup set (indexed by packet id * num_nodes +
-         holder id, generation-stamped so "clearing" is one counter
-         bump) and the delta sort buffer. *)
-      mutable delta_seen : int array;
-      mutable delta_gen : int;
-      delta_buf : Replica_db.entry Sortbuf.t;
       (* Flat per-plan scoring scratch: candidate packets and their
          ranking key in parallel growable arrays, ranked by sorting an
          index permutation through the shared Sortbuf arena — no boxed
@@ -128,17 +119,13 @@ let make params : Protocol.packed =
         global_transfer = Moving_average.Cumulative.create ();
         dbs = Array.init n (fun _ -> Replica_db.create ());
         truth = Replica_db.create ();
-        last_meta_exchange = Dense.Mat.create ~init:neg_infinity n;
+        gossip = Gossip.create ~num_nodes:n;
         meet_count = Array.make n 0;
         last_table_sync = Dense.Int_mat.create n;
-        meta_backlog = Hashtbl.create 16;
         pos = Array.init n (fun _ -> Position_index.create ());
         rcache = Rate_cache.create ~num_nodes:n;
         refresh_changed = Sortbuf.create ();
         own_n = Array.init n (fun _ -> [||]);
-        delta_seen = [||];
-        delta_gen = 0;
-        delta_buf = Sortbuf.create ();
         plan_pkts = [||];
         plan_key = [||];
         plan_len = 0;
@@ -509,144 +496,6 @@ let make params : Protocol.packed =
           | None -> ())
         victims
 
-    (* Ship [sender]'s metadata delta to [receiver]: entries changed since
-       the last exchange plus whatever a previous budget cut left unsent,
-       oldest first. The watermark always advances to [now]; the unsent set
-       is tracked precisely in [meta_backlog] instead of by rewinding the
-       watermark — [entries_since] clamps gossip log times and ties on
-       [updated_at], so a rewind re-offered already-shipped entries and
-       double-spent the budget. Returns bytes spent. *)
-    (* Oldest-first delta order; (packet id, holder id) is unique after
-       the dedup pass, so the order is total and the (unstable) scratch
-       sort is deterministic. *)
-    let cmp_delta (x : Replica_db.entry) (y : Replica_db.entry) =
-      match
-        Float.compare x.Replica_db.holder.Replica_db.updated_at
-          y.Replica_db.holder.Replica_db.updated_at
-      with
-      | 0 -> (
-          match
-            Int.compare x.Replica_db.packet.Packet.id
-              y.Replica_db.packet.Packet.id
-          with
-          | 0 -> Int.compare x.Replica_db.holder_id y.Replica_db.holder_id
-          | n -> n)
-      | n -> n
-
-    let send_delta t ~now ~sender ~receiver ~entry_budget =
-      let since = Dense.Mat.get t.last_meta_exchange sender receiver in
-      let key = (sender, receiver) in
-      let eligible (e : Replica_db.entry) =
-        match params.channel with
-        | Control_channel.Local_only ->
-            (* Only packets currently in the sender's own buffer. *)
-            Rapid_sim.Buffer.mem
-              t.env.Env.buffers.(sender)
-              e.Replica_db.packet.Packet.id
-        | Control_channel.In_band -> true
-        | Control_channel.Instant_global -> false
-      in
-      (* Re-materialize the backlog from the current db: entries acked or
-         dropped since they were deferred have vanished and are skipped;
-         surviving ones ship their freshest holder info. *)
-      let backlog =
-        match Hashtbl.find_opt t.meta_backlog key with
-        | None -> []
-        | Some set ->
-            Hashtbl.fold
-              (fun (packet_id, holder_id) () acc ->
-                match Replica_db.known_packet t.dbs.(sender) ~packet_id with
-                | None -> acc
-                | Some packet -> (
-                    match
-                      Replica_db.find_holder t.dbs.(sender) ~packet_id
-                        ~holder_id
-                    with
-                    | None -> acc
-                    | Some holder ->
-                        { Replica_db.packet; holder_id; holder } :: acc))
-              set []
-      in
-      t.delta_gen <- t.delta_gen + 1;
-      let gen = t.delta_gen in
-      let delta = t.delta_buf in
-      Sortbuf.clear delta;
-      let num_nodes = t.env.Env.num_nodes in
-      (* Generation-stamped flat dedup: seen(k) iff delta_seen.(k) holds
-         this call's generation, so no per-call clear and no hashing. *)
-      let fresh k =
-        if k < Array.length t.delta_seen then Array.unsafe_get t.delta_seen k <> gen
-        else true
-      in
-      let mark k =
-        let cap = Array.length t.delta_seen in
-        if k >= cap then begin
-          let g = Array.make (max 1024 (2 * (k + 1))) 0 in
-          Array.blit t.delta_seen 0 g 0 cap;
-          t.delta_seen <- g
-        end;
-        Array.unsafe_set t.delta_seen k gen
-      in
-      let consider (e : Replica_db.entry) =
-        let k =
-          (e.Replica_db.packet.Packet.id * num_nodes) + e.Replica_db.holder_id
-        in
-        if fresh k then begin
-          mark k;
-          if eligible e then Sortbuf.push delta e
-        end
-      in
-      List.iter consider backlog;
-      (* The raw log suffix may visit a (packet, holder) pair several
-         times; the dedup keeps the first, and every occurrence would
-         materialize the same current-db value, so deduping on raw ids
-         BEFORE materializing yields the same set (and hence the same
-         sorted delta) while paying the record lookups and the entry
-         allocation once per distinct pair instead of once per log
-         occurrence. *)
-      Replica_db.iter_ids_since t.dbs.(sender) since
-        (fun ~packet_id ~holder_id ->
-          let k = (packet_id * num_nodes) + holder_id in
-          if fresh k then begin
-            mark k;
-            match
-              Replica_db.entry_since t.dbs.(sender) since ~packet_id
-                ~holder_id
-            with
-            | Some e -> if eligible e then Sortbuf.push delta e
-            | None -> ()
-          end);
-      (* Only the first [entry_budget] entries ship (in oldest-first
-         order); everything past the cut lands in the unordered backlog
-         set, so a partial selection replaces the full sort. *)
-      Sortbuf.select delta ~cmp:cmp_delta entry_budget;
-      let unsent = ref None in
-      let sent = ref 0 in
-      Sortbuf.iteri delta (fun i (e : Replica_db.entry) ->
-          if i < entry_budget then begin
-            incr sent;
-            ignore
-              (Replica_db.merge t.dbs.(receiver) ~packet:e.Replica_db.packet
-                 ~holder_id:e.Replica_db.holder_id ~holder:e.Replica_db.holder)
-          end
-          else begin
-            let set =
-              match !unsent with
-              | Some set -> set
-              | None ->
-                  let set = Hashtbl.create 16 in
-                  unsent := Some set;
-                  set
-            in
-            Hashtbl.replace set
-              (e.Replica_db.packet.Packet.id, e.Replica_db.holder_id) ()
-          end);
-      (match !unsent with
-      | None -> Hashtbl.remove t.meta_backlog key
-      | Some set -> Hashtbl.replace t.meta_backlog key set);
-      Dense.Mat.set t.last_meta_exchange sender receiver now;
-      !sent * params.packet_entry_bytes
-
     let on_contact t { Protocol.now; a; b; budget; meta_budget; meta_ok } =
       Send_queue.begin_contact t.queue;
       Meeting_matrix.observe t.matrix ~now ~a ~b;
@@ -724,21 +573,27 @@ let make params : Protocol.packed =
           trace_meta "table" table_bytes;
           Dense.Int_mat.set t.last_table_sync a b t.meet_count.(a);
           Dense.Int_mat.set t.last_table_sync b a t.meet_count.(b);
-          (* 3. Replica metadata deltas, split evenly across directions. *)
+          (* 3. Replica metadata deltas, split evenly across directions;
+             the local-only channel describes only buffered packets. *)
           let entry_budget_total = max 0 (remaining ()) / params.packet_entry_bytes in
+          let send ~sender ~receiver ~budget =
+            let only =
+              match params.channel with
+              | Control_channel.Local_only -> Some t.env.Env.buffers.(sender)
+              | Control_channel.In_band | Control_channel.Instant_global -> None
+            in
+            Gossip.send t.gossip ~now ~sender ~receiver ~src:t.dbs.(sender)
+              ~dst:t.dbs.(receiver) ~only ~budget
+          in
           let half = (entry_budget_total + 1) / 2 in
-          let spent_ab =
-            send_delta t ~now ~sender:a ~receiver:b ~entry_budget:half
+          let sent_ab = send ~sender:a ~receiver:b ~budget:half in
+          let sent_ba =
+            send ~sender:b ~receiver:a ~budget:(entry_budget_total - sent_ab)
           in
-          let rest_budget =
-            entry_budget_total - (spent_ab / params.packet_entry_bytes)
-          in
-          let spent_ba =
-            send_delta t ~now ~sender:b ~receiver:a ~entry_budget:rest_budget
-          in
-          bytes := !bytes + spent_ab + spent_ba;
-          Rapid_obs.Counter.add c_meta_entry_bytes (spent_ab + spent_ba);
-          trace_meta "entries" (spent_ab + spent_ba));
+          let entry_bytes = (sent_ab + sent_ba) * params.packet_entry_bytes in
+          bytes := !bytes + entry_bytes;
+          Rapid_obs.Counter.add c_meta_entry_bytes entry_bytes;
+          trace_meta "entries" entry_bytes);
       plan t ~now ~sender:a ~receiver:b;
       plan t ~now ~sender:b ~receiver:a;
       !bytes
@@ -871,16 +726,11 @@ let make params : Protocol.packed =
          they age out via the matrix's own dynamics. *)
       t.dbs.(node) <- Replica_db.create ();
       Protocol.Ack_store.reset_node t.acks ~node;
-      let n = t.env.Env.num_nodes in
-      for peer = 0 to n - 1 do
-        Dense.Mat.set t.last_meta_exchange node peer neg_infinity;
+      Gossip.forget_sender t.gossip node;
+      for peer = 0 to t.env.Env.num_nodes - 1 do
         Dense.Int_mat.set t.last_table_sync node peer 0
       done;
-      t.meet_count.(node) <- 0;
-      Hashtbl.filter_map_inplace
-        (fun (sender, _) pending ->
-          if sender = node then None else Some pending)
-        t.meta_backlog
+      t.meet_count.(node) <- 0
   end : Protocol.S)
 
 let make_default metric = make (default_params metric)

@@ -4,7 +4,7 @@
     Protocol rapid(X, Y) at every transfer opportunity:
     + exchange metadata (acknowledgments, meeting-time table deltas, and
       per-packet replica records changed since the last exchange with this
-      peer), charged to the opportunity under the selected
+      peer, via {!Gossip}), charged to the opportunity under the selected
       {!Control_channel.t};
     + deliver packets destined to the peer in decreasing utility order;
     + replicate remaining packets in decreasing order of marginal utility

@@ -8,12 +8,12 @@ type record = { packet : Packet.t; holders : (int, holder) Hashtbl.t }
 type t = {
   records : (int, record) Hashtbl.t;
   (* Update log in append order, as parallel arrays of (log time, packet
-     id, holder id). Lets [iter_since] walk only the recent suffix instead
-     of scanning every record. Log times are clamped to be non-decreasing
-     (gossip can carry old origin timestamps), so the suffix boundary is a
-     binary search; emission re-checks the entry's real [updated_at], so
-     clamping can only widen the walk, never lose an entry. Superseded or
-     deleted entries are filtered during the walk. *)
+     id, holder id). Lets [iter_ids_since] walk only the recent suffix
+     instead of scanning every record. Log times are clamped to be
+     non-decreasing (gossip can carry old origin timestamps), so the
+     suffix boundary is a binary search; [entry_since] re-checks the
+     entry's real [updated_at], so clamping can only widen the walk, never
+     lose an entry. *)
   mutable log_times : float array;
   mutable log_pids : int array;
   mutable log_hids : int array;
@@ -146,9 +146,6 @@ let find_holder t ~packet_id ~holder_id =
   | None -> None
   | Some r -> Hashtbl.find_opt r.holders holder_id
 
-let known_packet t ~packet_id =
-  Option.map (fun r -> r.packet) (Hashtbl.find_opt t.records packet_id)
-
 (* First log index with time > threshold (times are non-decreasing). *)
 let suffix_start t threshold =
   let lo = ref 0 and hi = ref t.log_len in
@@ -158,29 +155,6 @@ let suffix_start t threshold =
   done;
   !lo
 
-let materialize t threshold ~packet_id ~holder_id =
-  match Hashtbl.find_opt t.records packet_id with
-  | None -> None (* forgotten (acked) *)
-  | Some r -> (
-      match Hashtbl.find_opt r.holders holder_id with
-      | Some holder when holder.updated_at > threshold ->
-          Some { packet = r.packet; holder_id; holder }
-      | Some _ | None -> None)
-
-let iter_since t threshold f =
-  for i = suffix_start t threshold to t.log_len - 1 do
-    match
-      materialize t threshold ~packet_id:t.log_pids.(i)
-        ~holder_id:t.log_hids.(i)
-    with
-    | Some e -> f e
-    | None -> ()
-  done
-
-(* Raw id walk of the same suffix: duplicates and dead entries included,
-   nothing materialized. Lets a caller that dedups on (packet, holder)
-   pay the two record lookups and the entry allocation once per distinct
-   pair (via [entry_since]) instead of once per log occurrence. *)
 let iter_ids_since t threshold f =
   for i = suffix_start t threshold to t.log_len - 1 do
     f ~packet_id:(Array.unsafe_get t.log_pids i)
@@ -188,26 +162,13 @@ let iter_ids_since t threshold f =
   done
 
 let entry_since t threshold ~packet_id ~holder_id =
-  materialize t threshold ~packet_id ~holder_id
-
-let entries_since t threshold =
-  let seen : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let lo = suffix_start t threshold in
-  let acc = ref [] in
-  (* Newest first so the dedup keeps the freshest occurrence; the
-     materialized value is the same either way (always the current db
-     state), but the order reported is roughly newest first, which is
-     what truncation fairness on the control channel wants. *)
-  for i = t.log_len - 1 downto lo do
-    let packet_id = t.log_pids.(i) and holder_id = t.log_hids.(i) in
-    if not (Hashtbl.mem seen (packet_id, holder_id)) then begin
-      Hashtbl.replace seen (packet_id, holder_id) ();
-      match materialize t threshold ~packet_id ~holder_id with
-      | Some e -> acc := e :: !acc
-      | None -> ()
-    end
-  done;
-  List.rev !acc
+  match Hashtbl.find_opt t.records packet_id with
+  | None -> None (* forgotten (acked) *)
+  | Some r -> (
+      match Hashtbl.find_opt r.holders holder_id with
+      | Some holder when holder.updated_at > threshold ->
+          Some { packet = r.packet; holder_id; holder }
+      | Some _ | None -> None)
 
 let size t =
   Hashtbl.fold (fun _ r acc -> acc + Hashtbl.length r.holders) t.records 0

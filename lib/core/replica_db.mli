@@ -6,10 +6,10 @@
     n_j(i) (its buffer position over its expected transfer size), which
     combined with the meeting matrix yields the direct-delivery estimate.
 
-    Entries are timestamped so the in-band control channel can ship only
-    what changed since the last exchange with a given peer, and so that a
-    receiver merges only strictly fresher information (stale gossip never
-    overwrites newer observations). *)
+    Entries are timestamped so that a receiver merges only strictly
+    fresher information (stale gossip never overwrites newer
+    observations), and logged so that {!Gossip} can ship only what changed
+    since the last exchange with a given peer ({!iter_ids_since}). *)
 
 type holder = { n_meet : int; updated_at : float }
 
@@ -64,33 +64,21 @@ val version : t -> packet_id:int -> int
     by coincidence. Unknown packets read as 0; any stored state implies a
     version >= 1. *)
 
-val known_packet : t -> packet_id:int -> Rapid_sim.Packet.t option
-
-val iter_since : t -> float -> (entry -> unit) -> unit
-(** Visit the log suffix of updates newer than the threshold (a binary
-    search finds the boundary; no allocation per call), materializing
-    each surviving (packet, holder) pair from the current db state. A
-    pair updated several times since the threshold is visited once per
-    update with identical (current) contents — callers that need a set
-    dedup on (packet id, holder id). The retained history is bounded
-    (several thousand updates): peers that have not exchanged for a very
-    long time receive a truncated, bounded-staleness delta. *)
-
 val iter_ids_since :
   t -> float -> (packet_id:int -> holder_id:int -> unit) -> unit
-(** The raw (packet id, holder id) walk underlying {!iter_since}:
-    duplicates and superseded entries included, nothing allocated or
-    looked up. Callers dedup and then {!entry_since} each distinct pair,
-    so the per-occurrence cost of a long suffix is two array reads. *)
+(** Visit the (packet id, holder id) pairs of the update-log suffix newer
+    than the threshold (a binary search finds the boundary): duplicates
+    and superseded entries included, nothing allocated or looked up.
+    Callers dedup and then {!entry_since} each distinct pair, so the
+    per-occurrence cost of a long suffix is two array reads. The retained
+    history is bounded (several thousand updates): a peer that has not
+    exchanged for a very long time receives a truncated, bounded-staleness
+    delta. *)
 
 val entry_since : t -> float -> packet_id:int -> holder_id:int -> entry option
-(** Materialize one (packet, holder) pair from the current db state, as
-    {!iter_since} would: [None] if forgotten or not updated since the
-    threshold. *)
-
-val entries_since : t -> float -> entry list
-(** The deduplicated {!iter_since} visit as a list, approximately newest
-    first — the delta the control channel ships. *)
+(** One (packet, holder) pair as the db holds it now: [None] if forgotten
+    or not updated after the threshold ([neg_infinity] reads any stored
+    pair). *)
 
 val size : t -> int
 (** Total holder entries stored. *)

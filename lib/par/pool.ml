@@ -51,6 +51,8 @@ let worker_loop t =
   in
   next ()
 
+let max_jobs = 127
+
 let create ~jobs =
   let jobs = max 1 jobs in
   let t =

@@ -20,6 +20,11 @@ type t
 (** A pool with a fixed set of worker domains and a bounded task queue
     (submitters block while the queue is full). *)
 
+val max_jobs : int
+(** 127, the widest pool a process can hold: OCaml 5.1 caps a 64-bit
+    process at 128 domains, the main one included. The CLIs reject a
+    wider [--jobs] before any domain starts. *)
+
 val create : jobs:int -> t
 (** Spawn [jobs] worker domains ([jobs <= 1] spawns none: every map on
     such a pool is sequential). *)

@@ -2,7 +2,9 @@
 
     The per-contact hot paths collect a batch of items, sort it, and
     consume it in order (RAPID's per-node position indexes, plan ranking
-    and refresh stamps, metadata delta ordering, send-queue segments).
+    and refresh stamps, send-queue segments), or order only the prefix
+    they consume with {!select} (the metadata delta, whose tail is
+    deferred unordered).
     [List.sort] / [Array.of_list] allocate a fresh intermediate per
     batch; a [Sortbuf.t] owned by the caller amortizes that to zero once
     the high-water mark is reached: [clear], [push] each item, [sort],

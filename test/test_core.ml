@@ -254,6 +254,20 @@ let test_replica_db_merge_freshness () =
   | [ (0, h) ] -> Alcotest.(check int) "n_meet updated" 2 h.Replica_db.n_meet
   | _ -> Alcotest.fail "unexpected holders"
 
+(* The deduplicated log walk the gossip makes: each (packet, holder) pair
+   of the suffix once, as the db holds it now. *)
+let entries_since db threshold =
+  let seen = Hashtbl.create 16 in
+  let acc = ref [] in
+  Replica_db.iter_ids_since db threshold (fun ~packet_id ~holder_id ->
+      if not (Hashtbl.mem seen (packet_id, holder_id)) then begin
+        Hashtbl.replace seen (packet_id, holder_id) ();
+        match Replica_db.entry_since db threshold ~packet_id ~holder_id with
+        | Some e -> acc := e :: !acc
+        | None -> ()
+      end);
+  List.rev !acc
+
 let test_replica_db_log_truncation () =
   (* The update log is bounded: after far more updates than the cap, the
      db still works and recent entries remain visible. *)
@@ -264,7 +278,7 @@ let test_replica_db_log_truncation () =
       ~now:(float_of_int i)
   done;
   (* Entries newer than t=39_990: holders updated in the last 10 steps. *)
-  let recent = Replica_db.entries_since db 39_990.0 in
+  let recent = entries_since db 39_990.0 in
   Alcotest.(check bool) "recent entries visible" true (List.length recent > 0);
   List.iter
     (fun (e : Replica_db.entry) ->
@@ -281,9 +295,9 @@ let test_replica_db_entries_since () =
   let q = packet ~id:2 ~src:0 ~dst:3 () in
   Replica_db.set_holder db ~packet:p ~holder_id:0 ~n_meet:1 ~now:1.0;
   Replica_db.set_holder db ~packet:q ~holder_id:0 ~n_meet:1 ~now:5.0;
-  Alcotest.(check int) "all" 2 (List.length (Replica_db.entries_since db 0.0));
-  Alcotest.(check int) "recent only" 1 (List.length (Replica_db.entries_since db 2.0));
-  Alcotest.(check int) "none" 0 (List.length (Replica_db.entries_since db 5.0))
+  Alcotest.(check int) "all" 2 (List.length (entries_since db 0.0));
+  Alcotest.(check int) "recent only" 1 (List.length (entries_since db 2.0));
+  Alcotest.(check int) "none" 0 (List.length (entries_since db 5.0))
 
 let test_replica_db_versions () =
   let db = Replica_db.create () in
@@ -1007,11 +1021,157 @@ let prop_position_index_matches_scan =
       done;
       !ok)
 
+(* The metadata delta as §4.2 states it, with nothing cached: a Hashtbl
+   backlog per directed pair, every candidate materialized (the backlog's
+   surviving entries, then every entry updated after the pair's
+   watermark, found by a full scan instead of the update log; the two
+   agree until the log is truncated, far beyond the property's 150
+   steps), the whole list sorted and the first [budget] merged. *)
+module Ref_gossip = struct
+  type t = {
+    last : float array array;
+    backlog : (int * int, unit) Hashtbl.t array array;
+  }
+
+  let create n =
+    {
+      last = Array.make_matrix n n neg_infinity;
+      backlog =
+        Array.init n (fun _ -> Array.init n (fun _ -> Hashtbl.create 4));
+    }
+
+  let send t (pool : Packet.t array) ~now ~sender ~receiver ~src ~dst ~only
+      ~budget =
+    let since = t.last.(sender).(receiver) in
+    let backlog = t.backlog.(sender).(receiver) in
+    let offered = Hashtbl.create 16 in
+    let offer pid hid (h : Replica_db.holder) =
+      let wanted =
+        match only with None -> true | Some b -> Buffer.mem b pid
+      in
+      if wanted then Hashtbl.replace offered (pid, hid) h
+    in
+    Hashtbl.iter
+      (fun (pid, hid) () ->
+        Option.iter (offer pid hid)
+          (Replica_db.find_holder src ~packet_id:pid ~holder_id:hid))
+      backlog;
+    Array.iter
+      (fun (p : Packet.t) ->
+        List.iter
+          (fun (hid, (h : Replica_db.holder)) ->
+            if h.Replica_db.updated_at > since then offer p.Packet.id hid h)
+          (Replica_db.holders src ~packet_id:p.Packet.id))
+      pool;
+    let sorted =
+      Hashtbl.fold (fun k h acc -> (k, h) :: acc) offered []
+      |> List.sort (fun ((p, i), (h : Replica_db.holder)) ((q, j), h') ->
+             compare (h.Replica_db.updated_at, p, i)
+               (h'.Replica_db.updated_at, q, j))
+    in
+    Hashtbl.reset backlog;
+    List.iteri
+      (fun rank ((pid, hid), holder) ->
+        if rank < budget then
+          ignore
+            (Replica_db.merge dst ~packet:pool.(pid) ~holder_id:hid ~holder)
+        else Hashtbl.replace backlog (pid, hid) ())
+      sorted;
+    t.last.(sender).(receiver) <- now;
+    min budget (List.length sorted)
+
+  let forget_sender t node =
+    Array.fill t.last.(node) 0 (Array.length t.last.(node)) neg_infinity;
+    Array.iter Hashtbl.reset t.backlog.(node)
+end
+
+let prop_gossip_matches_reference =
+  (* Two copies of four nodes' DBs see the same random history: first-hand
+     writes, merges stamped up to 20 s in the past (late relays),
+     removals, buffer churn for the local-only filter, sender reboots and
+     sends with budgets of 0-3 entries, so backlogs build up. One copy
+     gossips through [Gossip], the other through the reference. Integer
+     clock steps, some of them 0, make updated_at ties common, so the
+     (packet, holder) tie-breaks are exercised. *)
+  QCheck.Test.make ~name:"gossip = reference model" ~count:300
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let module Rng = Rapid_prelude.Rng in
+      let rng = Rng.create seed in
+      let n = 4 and np = 8 in
+      let pool = Array.init np (fun id -> packet ~id ~src:0 ~dst:1 ()) in
+      let g_dbs = Array.init n (fun _ -> Replica_db.create ()) in
+      let r_dbs = Array.init n (fun _ -> Replica_db.create ()) in
+      let buffers = Array.init n (fun _ -> Buffer.create ~capacity:None) in
+      let gossip = Gossip.create ~num_nodes:n in
+      let reference = Ref_gossip.create n in
+      let now = ref 0.0 in
+      let ok = ref true in
+      let both f = f g_dbs; f r_dbs in
+      for _ = 1 to 150 do
+        now := !now +. float_of_int (Rng.int rng 3);
+        let x = Rng.int rng n and pid = Rng.int rng np in
+        let hid = Rng.int rng n in
+        match Rng.int rng 12 with
+        | 0 | 1 ->
+            let n_meet = 1 + Rng.int rng 5 in
+            both (fun dbs ->
+                Replica_db.set_holder dbs.(x) ~packet:pool.(pid) ~holder_id:hid
+                  ~n_meet ~now:!now)
+        | 2 | 3 ->
+            let holder =
+              {
+                Replica_db.n_meet = 1 + Rng.int rng 5;
+                updated_at = !now -. float_of_int (Rng.int rng 21);
+              }
+            in
+            both (fun dbs ->
+                ignore
+                  (Replica_db.merge dbs.(x) ~packet:pool.(pid) ~holder_id:hid
+                     ~holder))
+        | 4 ->
+            both (fun dbs ->
+                Replica_db.remove_holder dbs.(x) ~packet_id:pid ~holder_id:hid)
+        | 5 -> both (fun dbs -> Replica_db.remove_packet dbs.(x) ~packet_id:pid)
+        | 6 ->
+            if Buffer.mem buffers.(x) pid then
+              ignore (Buffer.remove buffers.(x) pid)
+            else Buffer.add buffers.(x) (entry pool.(pid))
+        | 7 ->
+            if Rng.int rng 3 = 0 then begin
+              Gossip.forget_sender gossip x;
+              Ref_gossip.forget_sender reference x
+            end
+        | _ ->
+            let receiver = (x + 1 + Rng.int rng (n - 1)) mod n in
+            let budget = Rng.int rng 4 in
+            let only = if Rng.bool rng then Some buffers.(x) else None in
+            let got =
+              Gossip.send gossip ~now:!now ~sender:x ~receiver ~src:g_dbs.(x)
+                ~dst:g_dbs.(receiver) ~only ~budget
+            in
+            let want =
+              Ref_gossip.send reference pool ~now:!now ~sender:x ~receiver
+                ~src:r_dbs.(x) ~dst:r_dbs.(receiver) ~only ~budget
+            in
+            if got <> want then ok := false;
+            for node = 0 to n - 1 do
+              for packet_id = 0 to np - 1 do
+                if
+                  Replica_db.holders g_dbs.(node) ~packet_id
+                  <> Replica_db.holders r_dbs.(node) ~packet_id
+                then ok := false
+              done
+            done
+      done;
+      !ok)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_nmeet_monotone_in_position; prop_more_holders_never_slower;
       prop_rapid_meta_cap_respected; prop_lazy_rows_equal_full_closure;
-      prop_rate_cache_stamps_sound; prop_position_index_matches_scan ]
+      prop_rate_cache_stamps_sound; prop_position_index_matches_scan;
+      prop_gossip_matches_reference ]
 
 let () =
   Alcotest.run "core"
