@@ -105,11 +105,11 @@ let microbenchmarks () =
            for j = 1 to 8 do
              rate :=
                !rate
-               +. Rapid_core.Estimate_delay.rate_of_holder
+               +. Rapid_core.Rapid.rate_of_holder
                     ~meeting_time:(float_of_int (60 * j))
                     ~n_meet:j
            done;
-           ignore (Rapid_core.Estimate_delay.expected_delay ~rate:!rate)))
+           ignore (Rapid_core.Rapid.expected_delay ~rate:!rate)))
   in
   let matrix = Rapid_core.Meeting_matrix.create ~num_nodes:40 in
   let rng = Rng.create 5 in
@@ -262,14 +262,14 @@ let microbenchmarks () =
       done
     in
     let rcache = Rate_cache.create ~num_nodes:40 in
+    let slot = [| 0.0 |] in
     let fold_rate () =
       let row = Meeting_matrix.row ~h:3 matrix 39 in
       Replica_db.fold_holders db ~packet_id:0 ~init:0.0
         ~f:(fun acc holder_id (h : Replica_db.holder) ->
           let mt = if holder_id = 39 then 0.0 else row.(holder_id) in
           acc
-          +. Estimate_delay.rate_of_holder ~meeting_time:mt
-               ~n_meet:h.Replica_db.n_meet)
+          +. Rapid.rate_of_holder ~meeting_time:mt ~n_meet:h.Replica_db.n_meet)
     in
     let pkt_ver = Replica_db.version db ~packet_id:0 in
     let row_ver = Meeting_matrix.row_version ~h:3 matrix 39 in
@@ -277,26 +277,22 @@ let microbenchmarks () =
       (Staged.stage (fun () ->
            (* Poison the stamp so the first lookup is a genuine miss. *)
            Rate_cache.store rcache ~observer:0 ~packet_id:0
-             ~pkt_ver:(pkt_ver + 1) ~row_ver ~rate:nan;
-           let cold =
-             let c =
-               Rate_cache.find rcache ~observer:0 ~packet_id:0 ~pkt_ver
-                 ~row_ver
-             in
-             if Float.is_nan c then begin
-               let r = fold_rate () in
-               Rate_cache.store rcache ~observer:0 ~packet_id:0 ~pkt_ver
-                 ~row_ver ~rate:r;
-               r
-             end
-             else c
-           in
-           let acc = ref cold in
+             ~pkt_ver:(pkt_ver + 1) ~row_ver ~rate:slot;
+           if
+             not
+               (Rate_cache.find rcache ~observer:0 ~packet_id:0 ~pkt_ver
+                  ~row_ver ~rate:slot)
+           then begin
+             slot.(0) <- fold_rate ();
+             Rate_cache.store rcache ~observer:0 ~packet_id:0 ~pkt_ver ~row_ver
+               ~rate:slot
+           end;
+           let acc = ref slot.(0) in
            for _ = 1 to 64 do
-             acc :=
-               !acc
-               +. Rate_cache.find rcache ~observer:0 ~packet_id:0 ~pkt_ver
-                    ~row_ver
+             ignore
+               (Rate_cache.find rcache ~observer:0 ~packet_id:0 ~pkt_ver
+                  ~row_ver ~rate:slot);
+             acc := !acc +. slot.(0)
            done;
            ignore !acc))
   in

@@ -150,6 +150,17 @@ if ! ./_build/default/perfbench/benchmark.exe --workload trace-faulted \
   exit 1
 fi
 
+# One short powerlaw-buffered run: its seed-42 digests are the only check
+# of RAPID's eviction at benchmark scale (13,011 drop_candidate calls per
+# pass through the replica DB and the believed-rate cache).
+echo "== perfbench powerlaw-buffered smoke =="
+if ! ./_build/default/perfbench/benchmark.exe --workload powerlaw-buffered \
+  --seed 42 --seconds 1 > "$PERF_OUT"; then
+  tail -n 5 "$PERF_OUT" >&2
+  echo "perfbench powerlaw-buffered run failed" >&2
+  exit 1
+fi
+
 # First-use registration of the faults.* counters must be domain-safe:
 # eight domains record their first fault at once, in 40 fresh processes
 # (each one registers anew; see test/faults_race.ml).

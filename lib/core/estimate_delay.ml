@@ -20,13 +20,3 @@ let n_meetings ~entries ~packet ~avg_transfer_bytes =
   let total = float_of_int (bytes_before + packet.Packet.size) in
   let b = Float.max 1.0 avg_transfer_bytes in
   max 1 (int_of_float (Float.ceil (total /. b)))
-
-let rate_of_holder ~meeting_time ~n_meet =
-  if Float.is_finite meeting_time && meeting_time > 0.0 then
-    1.0 /. (meeting_time *. float_of_int (max 1 n_meet))
-  else 0.0
-
-let expected_delay ~rate = if rate > 0.0 then 1.0 /. rate else infinity
-
-let delivery_prob_within ~rate ~horizon =
-  if horizon <= 0.0 || rate <= 0.0 then 0.0 else 1.0 -. exp (-.rate *. horizon)

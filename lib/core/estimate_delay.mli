@@ -9,8 +9,13 @@
         A(i) = [ Σ_j 1 / (E(M_jZ) · n_j(i)) ]⁻¹
         P(a(i) < t) = 1 − exp(−R·t) with R = Σ_j 1/(E(M_jZ)·n_j(i)).
 
-    [rate_of_holder] returns one summand of R; combine with {!expected_delay}
-    / {!delivery_prob_within}. *)
+    This module keeps the reference scan for n_j(i), which the tests hold
+    RAPID's position index to. Eq. 9's scalar formulas live in {!Rapid}
+    ({!Rapid.rate_of_holder}, {!Rapid.expected_delay},
+    {!Rapid.delivery_prob_within}), next to their one caller: the dev
+    build compiles library modules [-opaque], and every float returned
+    by a call into another module is boxed, which the per-candidate
+    scoring loops cannot afford. *)
 
 val n_meetings :
   entries:Rapid_sim.Buffer.entry list ->
@@ -24,12 +29,3 @@ val n_meetings :
     transfer size, round up; at least 1. [entries] is the holder's buffer;
     [packet] need not be in it (the would-be position is used), duplicates
     are handled. *)
-
-val rate_of_holder : meeting_time:float -> n_meet:int -> float
-(** 1/(E·n); 0 when E is infinite (holder never meets the destination). *)
-
-val expected_delay : rate:float -> float
-(** A(i) = 1/R; [infinity] when R = 0. *)
-
-val delivery_prob_within : rate:float -> horizon:float -> float
-(** P(a(i) < horizon) = 1 − e^{−R·horizon}; 0 for non-positive horizon. *)

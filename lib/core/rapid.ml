@@ -31,6 +31,25 @@ let default_params metric =
    improvement. *)
 let big_delay = 1e15
 
+(* "No victim" for [drop_candidate]'s min-scan accumulator. *)
+let no_packet =
+  { Packet.id = -1; src = 0; dst = 0; size = 0; created = 0.0; deadline = None }
+
+(* Eq. 9's scalar formulas (§4.1.1), inlined into the scoring loops
+   below. They are defined here rather than in Estimate_delay because the
+   dev build compiles library modules -opaque: a float returned by (or
+   passed to) another module's function is boxed on every call, and these
+   run per scored candidate. *)
+let[@inline] rate_of_holder ~meeting_time ~n_meet =
+  if Float.is_finite meeting_time && meeting_time > 0.0 then
+    1.0 /. (meeting_time *. float_of_int (if n_meet > 1 then n_meet else 1))
+  else 0.0
+
+let[@inline] expected_delay ~rate = if rate > 0.0 then 1.0 /. rate else infinity
+
+let[@inline] delivery_prob_within ~rate ~horizon =
+  if horizon <= 0.0 || rate <= 0.0 then 0.0 else 1.0 -. exp (-.rate *. horizon)
+
 (* Hot-path counters (process-global by name; see lib/obs). Snapshots land
    in the CLI's --json output and in BENCH.json. *)
 let c_rank_calls = Rapid_obs.Counter.create "rapid.rank_calls"
@@ -41,6 +60,9 @@ let c_meta_table_bytes = Rapid_obs.Counter.create "rapid.meta_table_bytes"
 let c_meta_entry_bytes = Rapid_obs.Counter.create "rapid.meta_entry_bytes"
 
 let make params : Protocol.packed =
+  (* Hoisted: passing [~h:params.h_hops] to [Meeting_matrix]'s optional
+     argument would allocate a [Some] per call. *)
+  let h = Some params.h_hops in
   (module struct
     type t = {
       env : Env.t;
@@ -72,6 +94,14 @@ let make params : Protocol.packed =
          (Replica_db.version, Meeting_matrix.row_version) and reused
          until either input moves. See Rate_cache / DESIGN §3a. *)
       rcache : Rate_cache.t;
+      (* One-slot float results: [believed_rate] writes [rate.(0)] (so does
+         a [Rate_cache] hit), [local_loss] writes [loss.(0)], and
+         [drop_candidate]'s min-scan keeps its best score in [best.(0)].
+         A float returned from a function that is not inlined is boxed;
+         a float array slot is not. *)
+      rate : float array;
+      loss : float array;
+      best : float array;
       (* Scratch: (packet, new n_meet) pairs a refresh must write. *)
       refresh_changed : (Packet.t * int) Sortbuf.t;
       (* own_n.(node).(packet id): mirror of the n_meet recorded in
@@ -124,6 +154,9 @@ let make params : Protocol.packed =
         last_table_sync = Dense.Int_mat.create n;
         pos = Array.init n (fun _ -> Position_index.create ());
         rcache = Rate_cache.create ~num_nodes:n;
+        rate = [| 0.0 |];
+        loss = [| 0.0 |];
+        best = [| 0.0 |];
         refresh_changed = Sortbuf.create ();
         own_n = Array.init n (fun _ -> [||]);
         plan_pkts = [||];
@@ -172,9 +205,12 @@ let make params : Protocol.packed =
        set the expected inter-meeting time to infinity" (§4.1.2): an
        infinite estimate yields a zero delivery rate and hence zero
        marginal utility, so RAPID does not replicate toward destinations
-       it has no evidence of reaching. *)
-    let meeting_time t a b =
-      Meeting_matrix.expected_meeting_time ~h:params.h_hops t.matrix a b
+       it has no evidence of reaching. Read from [b]'s row, the cell
+       [Meeting_matrix.expected_meeting_time] returns (same lazy build),
+       without boxing it. *)
+    let[@inline] meeting_time t a b =
+      if a = b then 0.0
+      else Array.unsafe_get (Meeting_matrix.row ?h t.matrix b) a
 
     (* n_j(i) for a freshly created packet, O(1): only the bytes of
        same-destination packets ahead in delivery order (created, then id)
@@ -195,48 +231,50 @@ let make params : Protocol.packed =
       max 1 (int_of_float (Float.ceil (float_of_int bytes /. avg)))
 
     (* Total delivery rate R over the believed holders of [packet] as seen
-       by [observer] (Eq. 9 summation), cached per (observer, packet).
-       The fold's value is a pure function of the packet's holder set in
-       the observer's view and of the h-hop row keyed on the destination;
-       both carry versions, so the cached value is reused until one of
-       them moves. With no holders the fold touches neither the matrix
-       nor the cache — the 0.0 short-circuit keeps row-build accounting
-       identical to the plain walk. On a hit the holder table is
-       untouched since the stamp was taken, so a re-fold would visit the
+       by [observer] (Eq. 9 summation), written to [t.rate.(0)] and cached
+       per (observer, packet). The sum is a pure function of the packet's
+       holder set in the observer's view and of the h-hop row keyed on the
+       destination; both carry versions, so the cached value is reused
+       until one of them moves. With no holders the sum touches neither
+       the matrix nor the cache — the 0.0 short-circuit keeps row-build
+       accounting identical to the plain walk. On a hit the holder set is
+       untouched since the stamp was taken, so a re-sum would visit the
        same holders in the same order over the same row: the cached float
        is bit-identical to the recomputation it replaces. *)
     let believed_rate t ~observer ~(packet : Packet.t) =
       let db = view t observer in
       let id = packet.Packet.id in
-      if Replica_db.holder_count db ~packet_id:id = 0 then 0.0
+      let n = Replica_db.holder_count db ~packet_id:id in
+      if n = 0 then t.rate.(0) <- 0.0
       else begin
         let dst = packet.Packet.dst in
         let pkt_ver = Replica_db.version db ~packet_id:id in
-        let row_ver = Meeting_matrix.row_version ~h:params.h_hops t.matrix dst in
-        let cached =
-          Rate_cache.find t.rcache ~observer ~packet_id:id ~pkt_ver ~row_ver
-        in
-        if not (Float.is_nan cached) then cached
-        else begin
-          (* Fold over the borrowed row directly: [row.(holder)] is the
+        let row_ver = Meeting_matrix.row_version ?h t.matrix dst in
+        if
+          not
+            (Rate_cache.find t.rcache ~observer ~packet_id:id ~pkt_ver ~row_ver
+               ~rate:t.rate)
+        then begin
+          (* Sum over the borrowed row directly: [row.(holder)] is the
              exact cell [meeting_time t holder dst] reads (0.0 on the
              diagonal), minus the per-holder revalidation. The row cannot
-             move mid-fold — nothing in it observes the matrix. *)
-          let row = Meeting_matrix.row ~h:params.h_hops t.matrix dst in
-          let r =
-            Replica_db.fold_holders db ~packet_id:id ~init:0.0
-              ~f:(fun acc holder_id (h : Replica_db.holder) ->
-                let mt =
-                  if holder_id = dst then 0.0
-                  else Array.unsafe_get row holder_id
-                in
-                acc
-                +. Estimate_delay.rate_of_holder ~meeting_time:mt
-                     ~n_meet:h.Replica_db.n_meet)
-          in
+             move mid-sum — nothing in it observes the matrix. Holders
+             come in Replica_db's fold order, which fixes the rounding. *)
+          let row = Meeting_matrix.row ?h t.matrix dst in
+          let r = ref 0.0 in
+          for i = 0 to n - 1 do
+            let holder_id = Replica_db.holder_id_at db ~packet_id:id i in
+            let mt =
+              if holder_id = dst then 0.0 else Array.unsafe_get row holder_id
+            in
+            r :=
+              !r
+              +. rate_of_holder ~meeting_time:mt
+                   ~n_meet:(Replica_db.n_meet_at db ~packet_id:id i)
+          done;
+          t.rate.(0) <- !r;
           Rate_cache.store t.rcache ~observer ~packet_id:id ~pkt_ver ~row_ver
-            ~rate:r;
-          r
+            ~rate:t.rate
         end
       end
 
@@ -255,9 +293,9 @@ let make params : Protocol.packed =
         (int_of_float
            (Float.ceil (float_of_int (b + packet.Packet.size) /. avg)))
 
-    let delay_improvement ~r ~r_recv =
-      let a = Estimate_delay.expected_delay ~rate:r in
-      let a' = Estimate_delay.expected_delay ~rate:(r +. r_recv) in
+    let[@inline] delay_improvement ~r ~r_recv =
+      let a = expected_delay ~rate:r in
+      let a' = expected_delay ~rate:(r +. r_recv) in
       if not (Float.is_finite a') then 0.0
       else if not (Float.is_finite a) then big_delay -. a'
       else a -. a'
@@ -303,7 +341,7 @@ let make params : Protocol.packed =
           Send_queue.push_entries t.queue ~cmp:by_deadline alive;
           Send_queue.push_entries t.queue ~cmp:by_age dead
 
-    let plan_push t p key =
+    let[@inline] plan_push t p key =
       let cap = Array.length t.plan_key in
       if t.plan_len = cap then begin
         let n = max 64 (2 * cap) in
@@ -360,18 +398,17 @@ let make params : Protocol.packed =
                  holder (checked above), so any stale holder entry for it
                  is excluded from the baseline — otherwise its rate would
                  be counted twice. *)
-              let r0 = believed_rate t ~observer:sender ~packet:p in
+              believed_rate t ~observer:sender ~packet:p;
+              let r0 = t.rate.(0) in
+              let stale =
+                Replica_db.n_meet (view t sender) ~packet_id:p.Packet.id
+                  ~holder_id:receiver
+              in
               let r =
-                match
-                  Replica_db.find_holder (view t sender)
-                    ~packet_id:p.Packet.id ~holder_id:receiver
-                with
-                | Some stale ->
-                    Float.max 0.0
-                      (r0
-                      -. Estimate_delay.rate_of_holder ~meeting_time:mt_rd
-                           ~n_meet:stale.Replica_db.n_meet)
-                | None -> r0
+                if stale < 0 then r0
+                else
+                  Float.max 0.0
+                    (r0 -. rate_of_holder ~meeting_time:mt_rd ~n_meet:stale)
               in
               let b = Position_index.bytes_before t.pos.(receiver) p in
               let n_recv =
@@ -380,23 +417,22 @@ let make params : Protocol.packed =
                      (Float.ceil
                         (float_of_int (b + p.Packet.size) /. avg_rd)))
               in
-              let r_recv =
-                Estimate_delay.rate_of_holder ~meeting_time:mt_rd
-                  ~n_meet:n_recv
-              in
+              let r_recv = rate_of_holder ~meeting_time:mt_rd ~n_meet:n_recv in
               if r_recv > 0.0 then begin
                 let delta =
                   match params.metric with
                   | Metric.Average_delay | Metric.Maximum_delay ->
                       delay_improvement ~r ~r_recv
                   | Metric.Missed_deadlines -> (
-                      match Packet.remaining_lifetime p ~now with
+                      (* Remaining lifetime L(i) - T(i), read inline:
+                         [Packet.remaining_lifetime] boxes it. *)
+                      match p.Packet.deadline with
                       | None -> delay_improvement ~r ~r_recv
-                      | Some rem ->
-                          Estimate_delay.delivery_prob_within
-                            ~rate:(r +. r_recv) ~horizon:rem
-                          -. Estimate_delay.delivery_prob_within ~rate:r
-                               ~horizon:rem)
+                      | Some d ->
+                          let rem = d -. now in
+                          delivery_prob_within ~rate:(r +. r_recv)
+                            ~horizon:rem
+                          -. delivery_prob_within ~rate:r ~horizon:rem)
                 in
                 if delta > 0.0 then begin
                   let key =
@@ -408,8 +444,8 @@ let make params : Protocol.packed =
                            D(i) first; replication only changes the served
                            packet's own D(i), so a static descending order
                            is equivalent within one contact. *)
-                        let a = Estimate_delay.expected_delay ~rate:r in
-                        Packet.age p ~now +. Float.min a big_delay
+                        let a = expected_delay ~rate:r in
+                        (now -. p.Packet.created) +. Float.min a big_delay
                   in
                   plan_push t p key
                 end
@@ -632,44 +668,40 @@ let make params : Protocol.packed =
     (* Storage adaptation (§3.4): lowest-utility first; a source never
        deletes its own unacknowledged packet. *)
 
-    (* Marginal utility of the local copy: how much does losing THIS
-       replica hurt the packet's expected metric contribution? A copy
-       whose packet is well replicated elsewhere (or can never reach its
-       destination) costs little — those go first, per byte. *)
+    (* Marginal utility of the local copy, written to [t.loss.(0)]: how
+       much does losing THIS replica hurt the packet's expected metric
+       contribution? A copy whose packet is well replicated elsewhere (or
+       can never reach its destination) costs little — those go first,
+       per byte. *)
     let local_loss t ~now ~node (p : Packet.t) =
-        let r = believed_rate t ~observer:node ~packet:p in
-        let r_self =
-          match
-            Replica_db.find_holder t.dbs.(node) ~packet_id:p.Packet.id
-              ~holder_id:node
-          with
-          | Some h ->
-              Estimate_delay.rate_of_holder
-                ~meeting_time:(meeting_time t node p.Packet.dst)
-                ~n_meet:h.Replica_db.n_meet
-          | None -> 0.0
-        in
-        let without = Float.max 0.0 (r -. r_self) in
-        match params.metric with
-        | Metric.Average_delay | Metric.Maximum_delay ->
-            let a = Estimate_delay.expected_delay ~rate:r in
-            let a' = Estimate_delay.expected_delay ~rate:without in
+      believed_rate t ~observer:node ~packet:p;
+      let r = t.rate.(0) in
+      let n_self =
+        Replica_db.n_meet t.dbs.(node) ~packet_id:p.Packet.id ~holder_id:node
+      in
+      let r_self =
+        if n_self < 0 then 0.0
+        else
+          rate_of_holder
+            ~meeting_time:(meeting_time t node p.Packet.dst)
+            ~n_meet:n_self
+      in
+      let without = Float.max 0.0 (r -. r_self) in
+      t.loss.(0) <-
+        (match (params.metric, p.Packet.deadline) with
+        | Metric.Missed_deadlines, Some d ->
+            let rem = d -. now in
+            if rem <= 0.0 then 0.0 (* dead: worthless, drop first *)
+            else
+              delivery_prob_within ~rate:r ~horizon:rem
+              -. delivery_prob_within ~rate:without ~horizon:rem
+        | (Metric.Average_delay | Metric.Maximum_delay | Metric.Missed_deadlines), _
+          ->
+            let a = expected_delay ~rate:r in
+            let a' = expected_delay ~rate:without in
             if not (Float.is_finite a) then 0.0
             else if not (Float.is_finite a') then big_delay -. a
-            else a' -. a
-        | Metric.Missed_deadlines -> (
-            match Packet.remaining_lifetime p ~now with
-            | Some rem when rem <= 0.0 -> 0.0 (* dead: worthless, drop first *)
-            | Some rem ->
-                Estimate_delay.delivery_prob_within ~rate:r ~horizon:rem
-                -. Estimate_delay.delivery_prob_within ~rate:without
-                     ~horizon:rem
-            | None ->
-                let a = Estimate_delay.expected_delay ~rate:r in
-                let a' = Estimate_delay.expected_delay ~rate:without in
-                if not (Float.is_finite a) then 0.0
-                else if not (Float.is_finite a') then big_delay -. a
-                else a' -. a)
+            else a' -. a)
 
     let drop_candidate t ~now ~node ~incoming =
       (* Foreign replicas are evicted before anything else; a source's own
@@ -681,25 +713,32 @@ let make params : Protocol.packed =
          and it touches only the victim's own holder entry, so the
          survivors' scores are what the previous call saw. *)
       let cheapest ~own =
-        Buffer.fold_unordered t.env.Env.buffers.(node) ~init:None
-          ~f:(fun acc (e : Buffer.entry) ->
-            let p = e.packet in
-            if (p.Packet.src = node) <> own then acc
-            else begin
-              let s = local_loss t ~now ~node p /. float_of_int p.Packet.size in
-              match acc with
-              | Some ((best : Packet.t), bs)
-                when Float.compare bs s < 0
+        let best =
+          Buffer.fold_unordered t.env.Env.buffers.(node) ~init:no_packet
+            ~f:(fun (best : Packet.t) (e : Buffer.entry) ->
+              let p = e.packet in
+              if (p.Packet.src = node) <> own then best
+              else begin
+                local_loss t ~now ~node p;
+                let s = t.loss.(0) /. float_of_int p.Packet.size in
+                let bs = t.best.(0) in
+                if
+                  best != no_packet
+                  && (Float.compare bs s < 0
                      || (Float.compare bs s = 0 && best.Packet.id < p.Packet.id)
-                ->
-                  acc
-              | _ -> Some (p, s)
-            end)
+                     )
+                then best
+                else begin
+                  t.best.(0) <- s;
+                  p
+                end
+              end)
+        in
+        if best == no_packet then None else Some best
       in
       match cheapest ~own:false with
-      | Some (p, _) -> Some p
-      | None when incoming.Packet.src = node ->
-          Option.map fst (cheapest ~own:true)
+      | Some _ as victim -> victim
+      | None when incoming.Packet.src = node -> cheapest ~own:true
       | None -> None
 
     let on_dropped t ~now:_ ~node (p : Packet.t) =

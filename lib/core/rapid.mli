@@ -9,9 +9,9 @@
     + deliver packets destined to the peer in decreasing utility order;
     + replicate remaining packets in decreasing order of marginal utility
       per byte δU_i/s_i, where utilities follow the configured
-      {!Metric.t} and expected delays come from {!Estimate_delay} over the
-      believed replica sets ({!Replica_db}) and learned
-      {!Meeting_matrix};
+      {!Metric.t} and expected delays come from Eq. 9 ({!rate_of_holder},
+      {!expected_delay}, {!delivery_prob_within}) over the believed
+      replica sets ({!Replica_db}) and learned {!Meeting_matrix};
     + under storage pressure, evict lowest-utility packets first — but a
       source never deletes its own packet unless acknowledged (§3.4).
 
@@ -23,7 +23,36 @@
     during the experiment" (§6.1). For metric 3 the ranking is by expected
     delay D(i) descending, which is equivalent to the paper's
     work-conserving recomputation within a contact because replicating a
-    packet only lowers its own D(i). *)
+    packet only lowers its own D(i).
+
+    Cost: scoring a candidate ([plan], per sender buffer entry) or a
+    victim ([drop_candidate], per buffered entry) allocates nothing. The
+    dev build compiles library modules [-opaque], so any float returned
+    by (or passed to) a function that is not inlined is boxed; the
+    scoring loops therefore read holders by index from {!Replica_db},
+    take believed rates and losses back through one-slot float arrays
+    (as {!Rate_cache} does), read meeting times from the destination's
+    borrowed {!Meeting_matrix.row}, and inline the Eq. 9 formulas below,
+    which is why those live here and not in {!Estimate_delay}. *)
+
+(** {1 Eq. 9 (§4.1.1)}
+
+    The exponential approximation over holders j of packet i, destined to
+    Z: R = Σ_j 1/(E(M_jZ)·n_j(i)), A(i) = 1/R and
+    P(a(i) < t) = 1 − e^{−R·t}. *)
+
+val rate_of_holder : meeting_time:float -> n_meet:int -> float
+(** One summand of R: 1/(E·n) with n clamped to at least 1; 0 when E is
+    infinite (holder never meets the destination) or not positive. *)
+
+val expected_delay : rate:float -> float
+(** A(i) = 1/R; [infinity] when R = 0. *)
+
+val delivery_prob_within : rate:float -> horizon:float -> float
+(** P(a(i) < horizon) = 1 − e^{−R·horizon}; 0 for non-positive horizon
+    or rate. *)
+
+(** {1 The protocol} *)
 
 type params = {
   metric : Metric.t;

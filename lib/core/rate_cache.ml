@@ -5,8 +5,7 @@
    observer's replica DB, and the meeting-matrix h-hop row keyed on the
    packet's destination. Both carry cheap versions (Replica_db.version,
    Meeting_matrix.row_version), so a computed rate is stamped with the
-   pair and reused until either input actually moves — the same
-   version-stamp discipline refresh_own uses for its per-cell skips.
+   pair and reused until either input actually moves.
 
    Storage is flat and reused: per observer, three parallel growable
    arrays indexed by (dense) packet id. A stamp of -1 marks an empty
@@ -43,11 +42,7 @@ let create ~num_nodes =
     rate = Array.make num_nodes [||];
   }
 
-(* nan sentinel: a believed rate is a finite non-negative sum (0 when no
-   holder can reach the destination), never nan. *)
-let miss = nan
-
-let find t ~observer ~packet_id ~pkt_ver ~row_ver =
+let find t ~observer ~packet_id ~pkt_ver ~row_ver ~rate =
   let pv = t.pkt_ver.(observer) in
   let hit =
     packet_id < Array.length pv
@@ -58,7 +53,8 @@ let find t ~observer ~packet_id ~pkt_ver ~row_ver =
   | Some (hits, misses) ->
       Rapid_obs.Counter.incr (if hit then hits else misses)
   | None -> ());
-  if hit then t.rate.(observer).(packet_id) else miss
+  if hit then rate.(0) <- t.rate.(observer).(packet_id);
+  hit
 
 let store t ~observer ~packet_id ~pkt_ver ~row_ver ~rate =
   let cap = Array.length t.pkt_ver.(observer) in
@@ -77,7 +73,7 @@ let store t ~observer ~packet_id ~pkt_ver ~row_ver ~rate =
   end;
   t.pkt_ver.(observer).(packet_id) <- pkt_ver;
   t.row_ver.(observer).(packet_id) <- row_ver;
-  t.rate.(observer).(packet_id) <- rate
+  t.rate.(observer).(packet_id) <- rate.(0)
 
 let drop_observer t observer =
   (* A reboot replaces the observer's replica DB outright; its version

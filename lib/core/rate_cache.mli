@@ -13,17 +13,28 @@
     when a lazy row rebuild actually changes a cell. {!find} compares
     both stamps; any mismatch is a miss and the caller re-folds and
     {!store}s. A reboot replaces a node's replica DB (restarting its
-    version sequence), so the owner must {!drop_observer} that node. *)
+    version sequence), so the owner must {!drop_observer} that node.
+
+    Rates cross this interface in slot 0 of a caller-owned float array,
+    never as a float argument or result: the dev build compiles every
+    library module [-opaque], and a float passed to or returned from
+    another module's function is then boxed on each call. *)
 
 type t
 
 val create : num_nodes:int -> t
 
 val find :
-  t -> observer:int -> packet_id:int -> pkt_ver:int -> row_ver:int -> float
-(** The cached rate when both stamps match, [nan] otherwise (a believed
-    rate is a finite non-negative sum, never nan). Counts a hit or a miss
-    when counters are registered. *)
+  t ->
+  observer:int ->
+  packet_id:int ->
+  pkt_ver:int ->
+  row_ver:int ->
+  rate:float array ->
+  bool
+(** When both stamps match, writes the cached rate into [rate.(0)] and
+    returns [true]; otherwise returns [false] and leaves [rate] alone.
+    Counts a hit or a miss when counters are registered. *)
 
 val store :
   t ->
@@ -31,8 +42,9 @@ val store :
   packet_id:int ->
   pkt_ver:int ->
   row_ver:int ->
-  rate:float ->
+  rate:float array ->
   unit
+(** Caches [rate.(0)] under the two stamps. *)
 
 val drop_observer : t -> int -> unit
 (** Invalidate every entry cached for this observer (reboot path). *)

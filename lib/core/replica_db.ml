@@ -3,10 +3,28 @@ open Rapid_sim
 type holder = { n_meet : int; updated_at : float }
 type entry = { packet : Packet.t; holder_id : int; holder : holder }
 
-type record = { packet : Packet.t; holders : (int, holder) Hashtbl.t }
+(* One packet's believed holders: [ids.(i)] and [hs.(i)] for i < count,
+   kept in the order [Hashtbl.fold] would visit a [Hashtbl.create 4]
+   table fed the same writes (the layout this one replaced, whose fold
+   order fixed the rounding of RAPID's Eq. 9 sum, which the golden
+   reports pin). That order is: ascending bucket [Hashtbl.hash id land
+   (nb - 1)], the newest insertion first within a bucket (an overwrite
+   keeps its place). [nb] starts at 16 and doubles once the count
+   exceeds [2 * nb]; the doubling re-buckets stably, so within a bucket
+   the order stays newest first. A record is dropped when its last
+   holder goes, so a re-learned packet starts again at 16 buckets. *)
+type record = {
+  packet : Packet.t;
+  mutable ids : int array;
+  mutable hs : holder array;
+  mutable count : int;
+  mutable nb : int;
+}
 
 type t = {
-  records : (int, record) Hashtbl.t;
+  (* Indexed by (dense) packet id; [absent] where nothing is stored. *)
+  mutable recs : record array;
+  mutable size : int;
   (* Update log in append order, as parallel arrays of (log time, packet
      id, holder id). Lets [iter_ids_since] walk only the recent suffix
      instead of scanning every record. Log times are clamped to be
@@ -21,8 +39,8 @@ type t = {
   mutable log_newest : float;
   (* Per-packet mutation version, bumped by every write that can change a
      packet's holder set (set_holder, applied merge, remove_holder of a
-     present holder, remove_packet of a known packet). Indexed by packet
-     id; slots survive record removal so a forgotten-then-regossiped
+     present holder, remove_packet of a known packet). Same indexing as
+     [recs]; slots survive record removal so a forgotten-then-regossiped
      packet can never replay an old version value. Backs the believed-rate
      cache's (packet version, row version) stamp. *)
   mutable vers : int array;
@@ -34,9 +52,25 @@ type t = {
    memory and per-contact work proportional to recent activity. *)
 let max_log = 8_000
 
+let no_holder = { n_meet = -1; updated_at = neg_infinity }
+
+(* Shared by every empty slot and never written: its count of 0 makes
+   every read of an unknown packet fall through without a branch. *)
+let absent =
+  {
+    packet =
+      { Packet.id = -1; src = 0; dst = 0; size = 0; created = 0.0;
+        deadline = None };
+    ids = [||];
+    hs = [||];
+    count = 0;
+    nb = 16;
+  }
+
 let create () =
   {
-    records = Hashtbl.create 256;
+    recs = [||];
+    size = 0;
     log_times = [||];
     log_pids = [||];
     log_hids = [||];
@@ -45,17 +79,17 @@ let create () =
     vers = [||];
   }
 
-let bump_version t packet_id =
-  let cap = Array.length t.vers in
-  if packet_id >= cap then begin
-    let g = Array.make (max 256 (2 * (packet_id + 1))) 0 in
-    Array.blit t.vers 0 g 0 cap;
-    t.vers <- g
-  end;
-  t.vers.(packet_id) <- t.vers.(packet_id) + 1
+let rec_of t packet_id =
+  if packet_id >= 0 && packet_id < Array.length t.recs then
+    Array.unsafe_get t.recs packet_id
+  else absent
 
 let version t ~packet_id =
   if packet_id < Array.length t.vers then t.vers.(packet_id) else 0
+
+(* Only called once [record_of] has sized [vers] past [packet_id], or for
+   a packet with a stored record. *)
+let bump_version t packet_id = t.vers.(packet_id) <- t.vers.(packet_id) + 1
 
 let log_update t ~time ~packet_id ~holder_id =
   let time = Float.max time t.log_newest in
@@ -85,66 +119,149 @@ let log_update t ~time ~packet_id ~holder_id =
   end
 
 let record_of t (packet : Packet.t) =
-  match Hashtbl.find_opt t.records packet.Packet.id with
-  | Some r -> r
-  | None ->
-      let r = { packet; holders = Hashtbl.create 4 } in
-      Hashtbl.replace t.records packet.Packet.id r;
-      r
+  let id = packet.Packet.id in
+  let cap = Array.length t.recs in
+  if id >= cap then begin
+    let n = max 256 (2 * (id + 1)) in
+    let recs = Array.make n absent and vers = Array.make n 0 in
+    Array.blit t.recs 0 recs 0 cap;
+    Array.blit t.vers 0 vers 0 cap;
+    t.recs <- recs;
+    t.vers <- vers
+  end;
+  let r = t.recs.(id) in
+  if r != absent then r
+  else begin
+    let r =
+      { packet; ids = Array.make 4 0; hs = Array.make 4 no_holder; count = 0;
+        nb = 16 }
+    in
+    t.recs.(id) <- r;
+    r
+  end
+
+let index_of r holder_id =
+  let i = ref 0 in
+  while !i < r.count && Array.unsafe_get r.ids !i <> holder_id do
+    incr i
+  done;
+  if !i < r.count then !i else -1
+
+let bucket nb id = Hashtbl.hash id land (nb - 1)
+
+(* A new holder goes first in its bucket. Past [2 * nb] holders the
+   buckets double and an insertion sort (stable) re-buckets them. *)
+let insert t r holder_id h =
+  let n = r.count in
+  if n = Array.length r.ids then begin
+    let ids = Array.make (2 * n) 0 and hs = Array.make (2 * n) no_holder in
+    Array.blit r.ids 0 ids 0 n;
+    Array.blit r.hs 0 hs 0 n;
+    r.ids <- ids;
+    r.hs <- hs
+  end;
+  let b = bucket r.nb holder_id in
+  let i = ref 0 in
+  while !i < n && bucket r.nb r.ids.(!i) < b do
+    incr i
+  done;
+  let i = !i in
+  Array.blit r.ids i r.ids (i + 1) (n - i);
+  Array.blit r.hs i r.hs (i + 1) (n - i);
+  r.ids.(i) <- holder_id;
+  r.hs.(i) <- h;
+  r.count <- n + 1;
+  t.size <- t.size + 1;
+  if r.count > 2 * r.nb then begin
+    let nb = 2 * r.nb in
+    r.nb <- nb;
+    for j = 1 to r.count - 1 do
+      let id = r.ids.(j) and h = r.hs.(j) in
+      let b = bucket nb id in
+      let k = ref j in
+      while !k > 0 && bucket nb r.ids.(!k - 1) > b do
+        r.ids.(!k) <- r.ids.(!k - 1);
+        r.hs.(!k) <- r.hs.(!k - 1);
+        decr k
+      done;
+      r.ids.(!k) <- id;
+      r.hs.(!k) <- h
+    done
+  end
 
 let set_holder t ~packet ~holder_id ~n_meet ~now =
   let r = record_of t packet in
-  Hashtbl.replace r.holders holder_id { n_meet; updated_at = now };
+  let h = { n_meet; updated_at = now } in
+  let i = index_of r holder_id in
+  if i >= 0 then r.hs.(i) <- h else insert t r holder_id h;
   bump_version t packet.Packet.id;
   log_update t ~time:now ~packet_id:packet.Packet.id ~holder_id
 
 let merge t ~packet ~holder_id ~holder =
   let r = record_of t packet in
-  match Hashtbl.find_opt r.holders holder_id with
-  | Some existing when existing.updated_at >= holder.updated_at -> false
-  | Some _ | None ->
-      Hashtbl.replace r.holders holder_id holder;
-      bump_version t packet.Packet.id;
-      log_update t ~time:holder.updated_at ~packet_id:packet.Packet.id ~holder_id;
-      true
+  let i = index_of r holder_id in
+  if i >= 0 && r.hs.(i).updated_at >= holder.updated_at then false
+  else begin
+    if i >= 0 then r.hs.(i) <- holder else insert t r holder_id holder;
+    bump_version t packet.Packet.id;
+    log_update t ~time:holder.updated_at ~packet_id:packet.Packet.id ~holder_id;
+    true
+  end
 
 let remove_holder t ~packet_id ~holder_id =
-  match Hashtbl.find_opt t.records packet_id with
-  | None -> ()
-  | Some r ->
-      if Hashtbl.mem r.holders holder_id then begin
-        Hashtbl.remove r.holders holder_id;
-        bump_version t packet_id;
-        if Hashtbl.length r.holders = 0 then Hashtbl.remove t.records packet_id
-      end
+  let r = rec_of t packet_id in
+  let i = index_of r holder_id in
+  if i >= 0 then begin
+    let n = r.count - 1 in
+    Array.blit r.ids (i + 1) r.ids i (n - i);
+    Array.blit r.hs (i + 1) r.hs i (n - i);
+    r.hs.(n) <- no_holder;
+    r.count <- n;
+    t.size <- t.size - 1;
+    bump_version t packet_id;
+    if n = 0 then t.recs.(packet_id) <- absent
+  end
 
 let remove_packet t ~packet_id =
-  if Hashtbl.mem t.records packet_id then begin
-    Hashtbl.remove t.records packet_id;
+  let r = rec_of t packet_id in
+  if r != absent then begin
+    t.size <- t.size - r.count;
+    t.recs.(packet_id) <- absent;
     bump_version t packet_id
   end
 
 let holders t ~packet_id =
-  match Hashtbl.find_opt t.records packet_id with
-  | None -> []
-  | Some r ->
-      Hashtbl.fold (fun id h acc -> (id, h) :: acc) r.holders []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  let r = rec_of t packet_id in
+  List.init r.count (fun i -> (r.ids.(i), r.hs.(i)))
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let fold_holders t ~packet_id ~init ~f =
-  match Hashtbl.find_opt t.records packet_id with
-  | None -> init
-  | Some r -> Hashtbl.fold (fun id h acc -> f acc id h) r.holders init
+  let r = rec_of t packet_id in
+  let acc = ref init in
+  for i = 0 to r.count - 1 do
+    acc := f !acc r.ids.(i) r.hs.(i)
+  done;
+  !acc
 
-let holder_count t ~packet_id =
-  match Hashtbl.find_opt t.records packet_id with
-  | None -> 0
-  | Some r -> Hashtbl.length r.holders
+let holder_count t ~packet_id = (rec_of t packet_id).count
 
-let find_holder t ~packet_id ~holder_id =
-  match Hashtbl.find_opt t.records packet_id with
-  | None -> None
-  | Some r -> Hashtbl.find_opt r.holders holder_id
+let check_index r i =
+  if i < 0 || i >= r.count then invalid_arg "Replica_db: holder index"
+
+let holder_id_at t ~packet_id i =
+  let r = rec_of t packet_id in
+  check_index r i;
+  Array.unsafe_get r.ids i
+
+let n_meet_at t ~packet_id i =
+  let r = rec_of t packet_id in
+  check_index r i;
+  (Array.unsafe_get r.hs i).n_meet
+
+let n_meet t ~packet_id ~holder_id =
+  let r = rec_of t packet_id in
+  let i = index_of r holder_id in
+  if i >= 0 then r.hs.(i).n_meet else -1
 
 (* First log index with time > threshold (times are non-decreasing). *)
 let suffix_start t threshold =
@@ -162,13 +279,10 @@ let iter_ids_since t threshold f =
   done
 
 let entry_since t threshold ~packet_id ~holder_id =
-  match Hashtbl.find_opt t.records packet_id with
-  | None -> None (* forgotten (acked) *)
-  | Some r -> (
-      match Hashtbl.find_opt r.holders holder_id with
-      | Some holder when holder.updated_at > threshold ->
-          Some { packet = r.packet; holder_id; holder }
-      | Some _ | None -> None)
+  let r = rec_of t packet_id in
+  let i = index_of r holder_id in
+  if i >= 0 && r.hs.(i).updated_at > threshold then
+    Some { packet = r.packet; holder_id; holder = r.hs.(i) }
+  else None
 
-let size t =
-  Hashtbl.fold (fun _ r acc -> acc + Hashtbl.length r.holders) t.records 0
+let size t = t.size

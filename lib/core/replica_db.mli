@@ -9,7 +9,17 @@
     Entries are timestamped so that a receiver merges only strictly
     fresher information (stale gossip never overwrites newer
     observations), and logged so that {!Gossip} can ship only what changed
-    since the last exchange with a given peer ({!iter_ids_since}). *)
+    since the last exchange with a given peer ({!iter_ids_since}).
+
+    Layout: one record per packet in an array indexed by packet id (ids
+    are dense), each holding its holders in two small parallel arrays.
+    Holders are kept in a fixed, history-dependent order: the order
+    [Hashtbl.fold] visits a [Hashtbl.create 4] table given the same writes
+    (ascending [Hashtbl.hash holder_id land (nb - 1)] with [nb] = 16,
+    doubled whenever the count exceeds [2 * nb]; the newest insertion first
+    within a bucket). RAPID's Eq. 9 sum adds the holders' rates in this
+    order, and float addition is not associative, so the golden reports
+    pin the order (DESIGN §3a.9). *)
 
 type holder = { n_meet : int; updated_at : float }
 
@@ -43,15 +53,23 @@ val remove_packet : t -> packet_id:int -> unit
 val holders : t -> packet_id:int -> (int * holder) list
 (** Sorted by holder id. *)
 
-val find_holder : t -> packet_id:int -> holder_id:int -> holder option
+val n_meet : t -> packet_id:int -> holder_id:int -> int
+(** The holder's recorded n_j(i); -1 when the pair is not stored. *)
 
 val fold_holders :
   t -> packet_id:int -> init:'a -> f:('a -> int -> holder -> 'a) -> 'a
-(** Fold over a packet's holders without sorting (hot path; iteration
-    order is deterministic for a given update sequence). *)
+(** Fold over a packet's holders in the order described above. *)
 
 val holder_count : t -> packet_id:int -> int
 (** Number of believed holders; 0 when the packet is unknown. *)
+
+val holder_id_at : t -> packet_id:int -> int -> int
+(** [holder_id_at t ~packet_id i]: the id of the [i]-th holder in fold
+    order, for [0 <= i < holder_count t ~packet_id]. With {!n_meet_at},
+    lets a caller walk the holders with no closure and no allocation. *)
+
+val n_meet_at : t -> packet_id:int -> int -> int
+(** The n_j(i) of the [i]-th holder in fold order. *)
 
 val version : t -> packet_id:int -> int
 (** Per-packet mutation version: strictly increases on every write that

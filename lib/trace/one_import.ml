@@ -12,14 +12,21 @@ let of_string ?(bandwidth_bytes_per_sec = 250_000) s =
         names := (name, id) :: !names;
         id
   in
-  (* Open intervals keyed by unordered pair. *)
-  let open_since : (int * int, float) Hashtbl.t = Hashtbl.create 16 in
+  (* Open intervals keyed by unordered pair: the up time and its line. *)
+  let open_since : (int * int, float * int) Hashtbl.t = Hashtbl.create 16 in
   let contacts = ref [] in
   let last_time = ref 0.0 in
-  let close ~a ~b ~from_time ~until =
+  (* [n] is the line blamed when the interval's byte size does not fit an
+     int: the [down] line, or the [up] line of an interval still open at
+     the end of the report. *)
+  let close n ~a ~b ~from_time ~until =
     let span = Float.max 0.0 (until -. from_time) in
-    let bytes = int_of_float (span *. float_of_int bandwidth_bytes_per_sec) in
-    contacts := Contact.make ~time:from_time ~a ~b ~bytes :: !contacts
+    let bytes = span *. float_of_int bandwidth_bytes_per_sec in
+    if not (bytes < Float.of_int max_int) then
+      fail_line n (Printf.sprintf "interval of %g s is too long" span);
+    contacts :=
+      Contact.make ~time:from_time ~a ~b ~bytes:(int_of_float bytes)
+      :: !contacts
   in
   List.iteri
     (fun idx line ->
@@ -30,31 +37,31 @@ let of_string ?(bandwidth_bytes_per_sec = 250_000) s =
         match String.split_on_char ' ' line |> List.filter (( <> ) "") with
         | [ time; "CONN"; h1; h2; state ] -> (
             match float_of_string_opt time with
-            | None -> fail_line n "bad timestamp"
-            | Some time ->
+            | Some time when Float.is_finite time -> (
                 if time < !last_time then fail_line n "events out of order";
                 last_time := time;
                 let a = id_of h1 and b = id_of h2 in
                 if a = b then fail_line n "self-connection";
                 let key = (min a b, max a b) in
-                (match String.lowercase_ascii state with
+                match String.lowercase_ascii state with
                 | "up" ->
                     if Hashtbl.mem open_since key then
                       fail_line n "connection already up"
-                    else Hashtbl.replace open_since key time
+                    else Hashtbl.replace open_since key (time, n)
                 | "down" -> (
                     match Hashtbl.find_opt open_since key with
-                    | Some from_time ->
+                    | Some (from_time, _) ->
                         Hashtbl.remove open_since key;
-                        close ~a ~b ~from_time ~until:time
+                        close n ~a ~b ~from_time ~until:time
                     | None -> fail_line n "down without matching up")
-                | other -> fail_line n (Printf.sprintf "unknown state %S" other)))
+                | other -> fail_line n (Printf.sprintf "unknown state %S" other))
+            | Some _ | None -> fail_line n "bad timestamp")
         | _ -> fail_line n (Printf.sprintf "unrecognized record %S" line)
       end)
     (String.split_on_char '\n' s);
   (* Close dangling intervals at the last observed event. *)
   Hashtbl.iter
-    (fun (a, b) from_time -> close ~a ~b ~from_time ~until:!last_time)
+    (fun (a, b) (from_time, n) -> close n ~a ~b ~from_time ~until:!last_time)
     open_since;
   let num_nodes = max 1 (Hashtbl.length ids) in
   let duration = Float.max 1.0 (!last_time +. 1.0) in

@@ -18,7 +18,10 @@
 val of_string :
   ?bandwidth_bytes_per_sec:int -> string -> Trace.t * (string * int) list
 (** Returns the trace and the host-name → node-id mapping. Raises
-    [Failure] with a line-numbered message on malformed input. *)
+    [Failure] with a line-numbered message on malformed input, which
+    includes a non-finite timestamp and an interval whose byte size does
+    not fit an [int] (blamed on its [down] line, or on its [up] line when
+    it is still open at the end). *)
 
 val load :
   ?bandwidth_bytes_per_sec:int -> string -> Trace.t * (string * int) list

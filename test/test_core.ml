@@ -203,23 +203,23 @@ let test_n_meetings_would_be_position () =
 let test_rates_and_delay () =
   (* Eq. 8/9: two holders, E=100 n=1 and E=200 n=2 => R = 1/100 + 1/400. *)
   let r =
-    Estimate_delay.rate_of_holder ~meeting_time:100.0 ~n_meet:1
-    +. Estimate_delay.rate_of_holder ~meeting_time:200.0 ~n_meet:2
+    Rapid.rate_of_holder ~meeting_time:100.0 ~n_meet:1
+    +. Rapid.rate_of_holder ~meeting_time:200.0 ~n_meet:2
   in
   check_close "rate" (0.01 +. 0.0025) r;
-  check_close "A(i)" (1.0 /. 0.0125) (Estimate_delay.expected_delay ~rate:r);
+  check_close "A(i)" (1.0 /. 0.0125) (Rapid.expected_delay ~rate:r);
   check_close "P within" (1.0 -. exp (-0.0125 *. 50.0))
-    (Estimate_delay.delivery_prob_within ~rate:r ~horizon:50.0);
+    (Rapid.delivery_prob_within ~rate:r ~horizon:50.0);
   check_close "dead horizon" 0.0
-    (Estimate_delay.delivery_prob_within ~rate:r ~horizon:(-1.0));
+    (Rapid.delivery_prob_within ~rate:r ~horizon:(-1.0));
   Alcotest.(check bool) "infinite meeting = zero rate" true
-    (Estimate_delay.rate_of_holder ~meeting_time:infinity ~n_meet:1 = 0.0);
+    (Rapid.rate_of_holder ~meeting_time:infinity ~n_meet:1 = 0.0);
   Alcotest.(check bool) "zero rate = infinite delay" true
-    (Estimate_delay.expected_delay ~rate:0.0 = infinity)
+    (Rapid.expected_delay ~rate:0.0 = infinity)
 
 let test_more_replicas_less_delay () =
-  let rate k = float_of_int k *. Estimate_delay.rate_of_holder ~meeting_time:100.0 ~n_meet:1 in
-  let d k = Estimate_delay.expected_delay ~rate:(rate k) in
+  let rate k = float_of_int k *. Rapid.rate_of_holder ~meeting_time:100.0 ~n_meet:1 in
+  let d k = Rapid.expected_delay ~rate:(rate k) in
   Alcotest.(check bool) "monotone" true (d 1 > d 2 && d 2 > d 4);
   check_close "uniform k replicas" (100.0 /. 4.0) (d 4)
 
@@ -653,6 +653,62 @@ let test_rapid_drop_candidate_own_replacement () =
   | Some v -> Alcotest.(check int) "victim is an own packet" 0 v.Packet.src
   | None -> Alcotest.fail "full source refused its own new packet"
 
+let test_rapid_drop_candidate_allocation_flat () =
+  (* Eviction scores every buffered entry on every call (§3.4), so its
+     per-entry work must allocate nothing. Node 0 buffers foreign replicas
+     of packets whose sources also hold them; after one call the rate
+     cache serves every believed rate. Repeated calls must then allocate
+     the same words per call at 200 entries as at 50. *)
+  let words_per_call entries =
+    let module P = (val rapid () : Protocol.S) in
+    let env =
+      Env.create ~num_nodes:4 ~duration:1e6 ~buffer_capacity:None ~seed:1
+    in
+    let st = P.create env in
+    let meet now a b =
+      ignore
+        (P.on_contact st
+           { Protocol.now; a; b; budget = 1_000_000; meta_budget = None;
+             meta_ok = true })
+    in
+    (* Every node meets destination 3, so every rate is finite. *)
+    List.iteri
+      (fun i (a, b) -> meet (float_of_int (10 * (i + 1))) a b)
+      [ (0, 3); (1, 3); (2, 3); (0, 3); (1, 3); (2, 3) ];
+    for id = 0 to entries - 1 do
+      let src = 1 + (id mod 2) in
+      let p =
+        packet ~id ~src ~dst:3 ~size:(10 + (id mod 7))
+          ~created:(100.0 +. float_of_int id) ()
+      in
+      Buffer.add env.Env.buffers.(src) (entry p);
+      P.on_created st ~now:p.Packet.created p;
+      Buffer.add env.Env.buffers.(0) (entry ~hops:1 p);
+      P.on_transfer st ~now:p.Packet.created ~sender:src ~receiver:0 p
+        ~delivered:false
+    done;
+    (* Gossip tells node 0 about the sources' own copies. *)
+    meet 1000.0 0 1;
+    meet 1001.0 0 2;
+    let incoming = packet ~id:entries ~src:2 ~dst:3 () in
+    let victim () = P.drop_candidate st ~now:1002.0 ~node:0 ~incoming in
+    (match victim () with
+    | Some v -> Alcotest.(check bool) "a foreign victim" true (v.Packet.src <> 0)
+    | None -> Alcotest.fail "no victim among foreign replicas");
+    let calls = 50 in
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      ignore (victim ())
+    done;
+    (Gc.minor_words () -. before) /. float_of_int calls
+  in
+  let small = words_per_call 50 and large = words_per_call 200 in
+  if large > small then
+    Alcotest.failf
+      "drop_candidate allocates %.1f words per call over 200 entries, %.1f \
+       over 50: its per-entry scan allocates"
+      large small
+
 let contention_scenario ~seed =
   let rng = Rapid_prelude.Rng.create seed in
   let trace =
@@ -872,14 +928,14 @@ let prop_more_holders_never_slower =
       let rate hs =
         List.fold_left
           (fun acc (e, n) ->
-            acc +. Estimate_delay.rate_of_holder ~meeting_time:e ~n_meet:n)
+            acc +. Rapid.rate_of_holder ~meeting_time:e ~n_meet:n)
           0.0 hs
       in
       match holders with
       | [] -> true
       | _ :: rest ->
-          Estimate_delay.expected_delay ~rate:(rate holders)
-          <= Estimate_delay.expected_delay ~rate:(rate rest))
+          Rapid.expected_delay ~rate:(rate holders)
+          <= Rapid.expected_delay ~rate:(rate rest))
 
 let prop_rate_cache_stamps_sound =
   (* The believed-rate cache contract (DESIGN §3a): a value stamped with
@@ -913,7 +969,7 @@ let prop_rate_cache_stamps_sound =
           ~f:(fun acc holder_id (h : Replica_db.holder) ->
             let mt = if holder_id = dst then 0.0 else row.(holder_id) in
             acc
-            +. Estimate_delay.rate_of_holder ~meeting_time:mt
+            +. Rapid.rate_of_holder ~meeting_time:mt
                  ~n_meet:h.Replica_db.n_meet)
       in
       let ok = ref true in
@@ -948,18 +1004,17 @@ let prop_rate_cache_stamps_sound =
         if Replica_db.holder_count db ~packet_id:5 > 0 then begin
           let pkt_ver = Replica_db.version db ~packet_id:5 in
           let row_ver = Meeting_matrix.row_version ~h:3 m dst in
-          let served =
-            let c =
-              Rate_cache.find rc ~observer:0 ~packet_id:5 ~pkt_ver ~row_ver
-            in
-            if Float.is_nan c then begin
-              let r = fold_rate () in
-              Rate_cache.store rc ~observer:0 ~packet_id:5 ~pkt_ver ~row_ver
-                ~rate:r;
-              r
-            end
-            else c
-          in
+          let slot = [| nan |] in
+          if
+            not
+              (Rate_cache.find rc ~observer:0 ~packet_id:5 ~pkt_ver ~row_ver
+                 ~rate:slot)
+          then begin
+            slot.(0) <- fold_rate ();
+            Rate_cache.store rc ~observer:0 ~packet_id:5 ~pkt_ver ~row_ver
+              ~rate:slot
+          end;
+          let served = slot.(0) in
           if not (Float.equal served (fold_rate ())) then ok := false
         end
       done;
@@ -1053,8 +1108,10 @@ module Ref_gossip = struct
     in
     Hashtbl.iter
       (fun (pid, hid) () ->
-        Option.iter (offer pid hid)
-          (Replica_db.find_holder src ~packet_id:pid ~holder_id:hid))
+        Option.iter
+          (fun (e : Replica_db.entry) -> offer pid hid e.Replica_db.holder)
+          (Replica_db.entry_since src neg_infinity ~packet_id:pid
+             ~holder_id:hid))
       backlog;
     Array.iter
       (fun (p : Packet.t) ->
@@ -1166,12 +1223,207 @@ let prop_gossip_matches_reference =
       done;
       !ok)
 
+(* The replica DB as it stood before its records went flat: a Hashtbl of
+   records, each with a [Hashtbl.create 4] of holders, plus the same
+   update log and versions. [Replica_db] must answer every query exactly
+   as this does, fold order included: RAPID's Eq. 9 sum visits holders in
+   fold order, so the order fixes the rounding of every believed rate. *)
+module Ref_replica_db = struct
+  type record = { packet : Packet.t; holders : (int, Replica_db.holder) Hashtbl.t }
+
+  type t = {
+    records : (int, record) Hashtbl.t;
+    mutable log : (float * int * int) list; (* newest first *)
+    mutable newest : float;
+    vers : (int, int) Hashtbl.t;
+  }
+
+  let create () =
+    { records = Hashtbl.create 256; log = []; newest = neg_infinity;
+      vers = Hashtbl.create 16 }
+
+  let bump t pid =
+    Hashtbl.replace t.vers pid
+      (1 + Option.value ~default:0 (Hashtbl.find_opt t.vers pid))
+
+  let version t ~packet_id =
+    Option.value ~default:0 (Hashtbl.find_opt t.vers packet_id)
+
+  let log t time pid hid =
+    t.newest <- Float.max time t.newest;
+    t.log <- (t.newest, pid, hid) :: t.log
+
+  let record_of t (packet : Packet.t) =
+    match Hashtbl.find_opt t.records packet.Packet.id with
+    | Some r -> r
+    | None ->
+        let r = { packet; holders = Hashtbl.create 4 } in
+        Hashtbl.replace t.records packet.Packet.id r;
+        r
+
+  let set_holder t ~packet ~holder_id ~n_meet ~now =
+    let r = record_of t packet in
+    Hashtbl.replace r.holders holder_id { Replica_db.n_meet; updated_at = now };
+    bump t packet.Packet.id;
+    log t now packet.Packet.id holder_id
+
+  let merge t ~packet ~holder_id ~(holder : Replica_db.holder) =
+    let r = record_of t packet in
+    match Hashtbl.find_opt r.holders holder_id with
+    | Some (e : Replica_db.holder)
+      when e.Replica_db.updated_at >= holder.Replica_db.updated_at ->
+        false
+    | Some _ | None ->
+        Hashtbl.replace r.holders holder_id holder;
+        bump t packet.Packet.id;
+        log t holder.Replica_db.updated_at packet.Packet.id holder_id;
+        true
+
+  let remove_holder t ~packet_id ~holder_id =
+    match Hashtbl.find_opt t.records packet_id with
+    | Some r when Hashtbl.mem r.holders holder_id ->
+        Hashtbl.remove r.holders holder_id;
+        bump t packet_id;
+        if Hashtbl.length r.holders = 0 then Hashtbl.remove t.records packet_id
+    | Some _ | None -> ()
+
+  let remove_packet t ~packet_id =
+    if Hashtbl.mem t.records packet_id then begin
+      Hashtbl.remove t.records packet_id;
+      bump t packet_id
+    end
+
+  let fold_sequence t ~packet_id =
+    match Hashtbl.find_opt t.records packet_id with
+    | None -> []
+    | Some r -> List.rev (Hashtbl.fold (fun id h acc -> (id, h) :: acc) r.holders [])
+
+  let find t ~packet_id ~holder_id =
+    Option.bind (Hashtbl.find_opt t.records packet_id) (fun r ->
+        Hashtbl.find_opt r.holders holder_id)
+
+  let ids_since t threshold =
+    List.rev
+      (List.filter_map
+         (fun (time, pid, hid) -> if time > threshold then Some (pid, hid) else None)
+         t.log)
+
+  let size t =
+    Hashtbl.fold (fun _ r acc -> acc + Hashtbl.length r.holders) t.records 0
+end
+
+let prop_replica_db_matches_reference =
+  (* Random histories of writes on a few packets with holder ids up to 99,
+     so a packet can collect more than 32 and then more than 64 holders
+     and the emulated buckets double twice; removals and forgotten
+     packets make records shrink and restart. After every step each
+     query is compared with the reference: the exact fold sequence (ids
+     and holder records), the sorted holder list, the count, the n_meet
+     read of a present and of a random holder, the version, entry_since
+     at a random threshold, the log suffix and the size. *)
+  QCheck.Test.make ~name:"replica db = reference model" ~count:60
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let module Rng = Rapid_prelude.Rng in
+      let rng = Rng.create seed in
+      let np = 1 + Rng.int rng 3 in
+      let pool = Array.init np (fun id -> packet ~id ~src:0 ~dst:1 ()) in
+      (* Half the histories never forget a packet, so holder sets can
+         grow past 64; the other half forget one every ~160 steps. *)
+      let forgets = Rng.bool rng in
+      let db = Replica_db.create () and model = Ref_replica_db.create () in
+      let now = ref 0.0 in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      for _ = 1 to 400 do
+        now := !now +. float_of_int (Rng.int rng 3);
+        let pid = Rng.int rng np and hid = Rng.int rng 100 in
+        (match Rng.int rng 40 with
+        | 39 when not forgets -> ()
+        | k when k < 16 ->
+            let n_meet = 1 + Rng.int rng 5 in
+            Replica_db.set_holder db ~packet:pool.(pid) ~holder_id:hid ~n_meet
+              ~now:!now;
+            Ref_replica_db.set_holder model ~packet:pool.(pid) ~holder_id:hid
+              ~n_meet ~now:!now
+        | k when k < 30 ->
+            let holder =
+              {
+                Replica_db.n_meet = 1 + Rng.int rng 5;
+                updated_at = !now -. float_of_int (Rng.int rng 21);
+              }
+            in
+            expect
+              (Replica_db.merge db ~packet:pool.(pid) ~holder_id:hid ~holder
+              = Ref_replica_db.merge model ~packet:pool.(pid) ~holder_id:hid
+                  ~holder)
+        | k when k < 39 ->
+            Replica_db.remove_holder db ~packet_id:pid ~holder_id:hid;
+            Ref_replica_db.remove_holder model ~packet_id:pid ~holder_id:hid
+        | _ ->
+            if Rng.int rng 4 = 0 then begin
+              Replica_db.remove_packet db ~packet_id:pid;
+              Ref_replica_db.remove_packet model ~packet_id:pid
+            end);
+        for packet_id = 0 to np - 1 do
+          let seq = Ref_replica_db.fold_sequence model ~packet_id in
+          expect
+            (List.rev
+               (Replica_db.fold_holders db ~packet_id ~init:[]
+                  ~f:(fun acc id h -> (id, h) :: acc))
+            = seq);
+          expect
+            (Replica_db.holders db ~packet_id
+            = List.sort (fun (a, _) (b, _) -> Int.compare a b) seq);
+          expect (Replica_db.holder_count db ~packet_id = List.length seq);
+          List.iteri
+            (fun i (id, (h : Replica_db.holder)) ->
+              expect (Replica_db.holder_id_at db ~packet_id i = id);
+              expect (Replica_db.n_meet_at db ~packet_id i = h.Replica_db.n_meet))
+            seq;
+          let n_meet holder_id =
+            match Ref_replica_db.find model ~packet_id ~holder_id with
+            | Some h -> h.Replica_db.n_meet
+            | None -> -1
+          in
+          (match seq with
+          | [] -> ()
+          | _ ->
+              let holder_id, _ = List.nth seq (Rng.int rng (List.length seq)) in
+              expect (Replica_db.n_meet db ~packet_id ~holder_id = n_meet holder_id));
+          let holder_id = Rng.int rng 100 in
+          expect (Replica_db.n_meet db ~packet_id ~holder_id = n_meet holder_id);
+          expect
+            (Replica_db.version db ~packet_id
+            = Ref_replica_db.version model ~packet_id);
+          let threshold = !now -. float_of_int (Rng.int rng 30) in
+          let want =
+            match Ref_replica_db.find model ~packet_id ~holder_id with
+            | Some h when h.Replica_db.updated_at > threshold -> Some (holder_id, h)
+            | Some _ | None -> None
+          in
+          expect
+            (Option.map
+               (fun (e : Replica_db.entry) ->
+                 (e.Replica_db.holder_id, e.Replica_db.holder))
+               (Replica_db.entry_since db threshold ~packet_id ~holder_id)
+            = want)
+        done;
+        let threshold = !now -. float_of_int (Rng.int rng 30) in
+        let got = ref [] in
+        Replica_db.iter_ids_since db threshold (fun ~packet_id ~holder_id ->
+            got := (packet_id, holder_id) :: !got);
+        expect (List.rev !got = Ref_replica_db.ids_since model threshold);
+        expect (Replica_db.size db = Ref_replica_db.size model)
+      done;
+      !ok)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_nmeet_monotone_in_position; prop_more_holders_never_slower;
       prop_rapid_meta_cap_respected; prop_lazy_rows_equal_full_closure;
       prop_rate_cache_stamps_sound; prop_position_index_matches_scan;
-      prop_gossip_matches_reference ]
+      prop_gossip_matches_reference; prop_replica_db_matches_reference ]
 
 let () =
   Alcotest.run "core"
@@ -1240,6 +1492,8 @@ let () =
             test_rapid_faulted_runs_deterministic;
           Alcotest.test_case "drop candidate own replacement" `Quick
             test_rapid_drop_candidate_own_replacement;
+          Alcotest.test_case "drop candidate allocation flat" `Quick
+            test_rapid_drop_candidate_allocation_flat;
           Alcotest.test_case "golden fixed-seed reports" `Slow
             test_rapid_golden_reports;
         ] );

@@ -268,18 +268,42 @@ let test_one_import_dangling_closed () =
   | _ -> Alcotest.failf "expected one n2-n3 contact, got %d" (List.length n2n3)
 
 let test_one_import_rejects_malformed () =
+  (* Each input must fail with the documented line-numbered [Failure],
+     naming the line given. *)
   List.iter
-    (fun s ->
+    (fun (s, line) ->
+      let prefix = Printf.sprintf "One_import: line %d: " line in
       match One_import.of_string s with
-      | exception Failure _ -> ()
+      | exception Failure msg
+        when String.starts_with ~prefix msg ->
+          ()
+      | exception e ->
+          Alcotest.failf "%S raised %s, wanted %S..." s (Printexc.to_string e)
+            prefix
       | _ -> Alcotest.failf "accepted %S" s)
     [
-      "abc CONN n1 n2 up\n";
-      "5 CONN n1 n1 up\n";
-      "5 CONN n1 n2 sideways\n";
-      "5 CONN n1 n2 down\n" (* down without up *);
-      "5 CONN n1 n2 up\n4 CONN n1 n3 up\n" (* out of order *);
-      "5 CONN n1 n2 up\n6 CONN n1 n2 up\n" (* double up *);
+      ("abc CONN n1 n2 up\n", 1);
+      ("5 CONN n1 n1 up\n", 1);
+      ("5 CONN n1 n2 sideways\n", 1);
+      ("5 CONN n1 n2 down\n", 1) (* down without up *);
+      ("5 CONN n1 n2 up\n4 CONN n1 n3 up\n", 2) (* out of order *);
+      ("5 CONN n1 n2 up\n6 CONN n1 n2 up\n", 2) (* double up *);
+      (* Non-finite timestamps (they used to escape as Invalid_argument
+         from Contact.make or Trace.create). *)
+      ("nan CONN n1 n2 up\n", 1);
+      ("inf CONN n1 n2 up\n", 1);
+      ("1 CONN n1 n2 up\nnan CONN n1 n2 down\n", 2);
+      ("1 CONN n1 n2 up\ninfinity CONN n1 n2 down\n", 2);
+      ("1 CONN n1 n2 up\n2 CONN n1 n3 up\ninf CONN n2 n3 up\n", 3);
+      (* Intervals whose byte size overflows an int: one used to raise
+         Invalid_argument "Contact.make: negative size", a longer one
+         became a 0-byte contact. An interval still open at the end is
+         blamed on its up line. *)
+      ("1 CONN n1 n2 up\n2e13 CONN n1 n2 down\n", 2);
+      ("1 CONN n1 n2 up\n1e14 CONN n1 n2 down\n", 2);
+      ("1 CONN n1 n2 up\n2 CONN n1 n3 up\n1e14 CONN n1 n3 down\n", 3);
+      ("1 CONN n1 n2 up\n2 CONN n1 n3 up\n3 CONN n1 n3 down\n\
+        1e14 CONN n2 n4 up\n", 1);
     ]
 
 let test_one_import_runs_through_engine () =
