@@ -188,16 +188,6 @@ let () =
       | Some v -> Printf.printf "%s = %d\n" name v
       | None -> fail "missing counter \"%s\"" name)
     [ "store.hits"; "store.misses"; "store.writes"; "store.corrupt_cells" ];
-  (* Believed-rate cache counters: registration is opt-in (the CLI leaves
-     them off to keep its pinned report goldens byte-stable) but the
-     bench harness always turns them on, so a BENCH.json without them
-     means the cache instrumentation was dropped. *)
-  List.iter
-    (fun name ->
-      match counter name with
-      | Some v -> Printf.printf "%s = %d\n" name v
-      | None -> fail "missing counter \"%s\"" name)
-    [ "rapid.rate_cache_hits"; "rapid.rate_cache_misses" ];
   let timer name =
     match Json.member "timers" doc with
     | Some timers -> (
@@ -229,22 +219,22 @@ let () =
           "minor_collections"; "major_collections";
         ]
   | None -> fail "missing \"gc\" block");
-  (* The believed-rate microbench must exist (its numbers are not gated —
-     too noisy in CI — but its disappearance means the cache benchmark
-     was dropped). *)
+  (* The Eq. 9 microbench must exist (its numbers are not gated — too
+     noisy in CI — but it times the sum every believed-rate read runs, so
+     its disappearance means that benchmark was dropped). *)
   (match Json.member "microbench" doc with
   | Some (Json.List items) ->
-      let has_believed =
+      let has_eq9 =
         List.exists
           (fun item ->
             match Json.member "name" item with
             | Some (Json.String name) ->
-                name = "primitives/believed-rate (cached vs cold)"
+                name = "primitives/estimate-delay Eq.9 (8 holders)"
             | _ -> false)
           items
       in
-      if not has_believed then
-        fail "missing microbench \"primitives/believed-rate (cached vs cold)\""
+      if not has_eq9 then
+        fail "missing microbench \"primitives/estimate-delay Eq.9 (8 holders)\""
   | Some _ | None -> fail "missing \"microbench\" list");
   Option.iter (compare_baseline doc) baseline;
   if !errors > 0 then begin

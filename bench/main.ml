@@ -231,71 +231,6 @@ let microbenchmarks () =
            let d = Dist.Discrete.of_exponential ~dt:0.1 ~cells:400 ~mean:5.0 in
            ignore (Dist.Discrete.convolve d d)))
   in
-  let believed_rate_test =
-    (* The RAPID ranking hot path at primitive scale: one cold Eq. 9 fold
-       (miss → store) followed by a burst of stamped lookups, mirroring a
-       contact that scores the same packet against many candidates while
-       neither the holder set nor the destination row moves. The cold
-       fold re-runs every iteration because the store is overwritten with
-       a poisoned stamp first. *)
-    let open Rapid_core in
-    let db = Replica_db.create () in
-    let matrix = Meeting_matrix.create ~num_nodes:40 in
-    let rng = Rng.create 7 in
-    let clock = ref 0.0 in
-    let () =
-      for _ = 1 to 300 do
-        let a = Rng.int rng 40 in
-        let b = (a + 1 + Rng.int rng 39) mod 40 in
-        clock := !clock +. (1.0 +. Rng.float rng *. 900.0);
-        if a <> b then Meeting_matrix.observe matrix ~now:!clock ~a ~b
-      done
-    in
-    let packet =
-      { Rapid_sim.Packet.id = 0; src = 0; dst = 39; size = 1024;
-        created = 0.0; deadline = None }
-    in
-    let () =
-      for h = 1 to 8 do
-        Replica_db.set_holder db ~packet ~holder_id:(h * 4) ~n_meet:h
-          ~now:(float_of_int h)
-      done
-    in
-    let rcache = Rate_cache.create ~num_nodes:40 in
-    let slot = [| 0.0 |] in
-    let fold_rate () =
-      let row = Meeting_matrix.row ~h:3 matrix 39 in
-      Replica_db.fold_holders db ~packet_id:0 ~init:0.0
-        ~f:(fun acc holder_id (h : Replica_db.holder) ->
-          let mt = if holder_id = 39 then 0.0 else row.(holder_id) in
-          acc
-          +. Rapid.rate_of_holder ~meeting_time:mt ~n_meet:h.Replica_db.n_meet)
-    in
-    let pkt_ver = Replica_db.version db ~packet_id:0 in
-    let row_ver = Meeting_matrix.row_version ~h:3 matrix 39 in
-    Test.make ~name:"believed-rate (cached vs cold)"
-      (Staged.stage (fun () ->
-           (* Poison the stamp so the first lookup is a genuine miss. *)
-           Rate_cache.store rcache ~observer:0 ~packet_id:0
-             ~pkt_ver:(pkt_ver + 1) ~row_ver ~rate:slot;
-           if
-             not
-               (Rate_cache.find rcache ~observer:0 ~packet_id:0 ~pkt_ver
-                  ~row_ver ~rate:slot)
-           then begin
-             slot.(0) <- fold_rate ();
-             Rate_cache.store rcache ~observer:0 ~packet_id:0 ~pkt_ver ~row_ver
-               ~rate:slot
-           end;
-           let acc = ref slot.(0) in
-           for _ = 1 to 64 do
-             ignore
-               (Rate_cache.find rcache ~observer:0 ~packet_id:0 ~pkt_ver
-                  ~row_ver ~rate:slot);
-             acc := !acc +. slot.(0)
-           done;
-           ignore !acc))
-  in
   let send_queue_test =
     let open Rapid_sim in
     let env =
@@ -367,9 +302,9 @@ let microbenchmarks () =
   in
   let tests =
     Test.make_grouped ~name:"primitives"
-      [ pqueue_test; estimate_test; believed_rate_test; closure_test;
-        simplex_test; sparse_lp_test; ilp_test; convolve_test;
-        send_queue_test; engine_test ]
+      [ pqueue_test; estimate_test; closure_test; simplex_test;
+        sparse_lp_test; ilp_test; convolve_test; send_queue_test;
+        engine_test ]
   in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
   let instance = Toolkit.Instance.monotonic_clock in
@@ -405,9 +340,6 @@ let () =
      store.* keys (at zero) even for clean, uncached runs. *)
   Rapid_faults.Faults.register_counters ();
   Rapid_store.Store.register_counters ();
-  (* Rate-cache hit/miss counters are opt-in (the CLI leaves them off so
-     its pinned report goldens stand); the bench always wants them. *)
-  Rapid_core.Rate_cache.register_counters ();
   Rapid_experiments.Runners.set_cache_dir cache_dir;
   let profile = profile () in
   let params = Params.get profile in

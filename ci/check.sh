@@ -67,7 +67,7 @@ fi
 
 # Protocol report goldens: every protocol/metric/load cell of the core
 # comparison, pinned by MD5 of the run's "reports" JSON member. The hot
-# paths behind these runs (believed-rate caching, positional indexes,
+# paths behind these runs (the flat replica DB, positional indexes,
 # flat plan scoring, delta dedup) are all exact rewrites — a drifting
 # hash here means an "optimization" changed routing behavior. Only the
 # reports member is hashed, so adding counters/instrumentation does not
@@ -152,7 +152,8 @@ fi
 
 # One short powerlaw-buffered run: its seed-42 digests are the only check
 # of RAPID's eviction at benchmark scale (13,011 drop_candidate calls per
-# pass through the replica DB and the believed-rate cache).
+# pass, each re-summing Eq. 9 over the replica DB for every buffered
+# entry).
 echo "== perfbench powerlaw-buffered smoke =="
 if ! ./_build/default/perfbench/benchmark.exe --workload powerlaw-buffered \
   --seed 42 --seconds 1 > "$PERF_OUT"; then

@@ -8,7 +8,6 @@ type t = {
      pairs, 0 on the diagonal. Kept current cell-by-cell on [observe] so a
      row build never recomputes n² divisions. *)
   direct : Dense.Mat.t;
-  mutable updates : int;
   (* Epoch counter: bumped whenever a direct mean changes. A memoized row
      whose [row_epoch] lags behind is stale; nothing is recomputed until
      that source is queried again. *)
@@ -16,10 +15,6 @@ type t = {
   rows : float array array;  (* rows.(a): ≤h-hop row from a; [||] = never built *)
   row_epoch : int array;
   row_h : int array;
-  (* Content version of rows.(a): bumped by a rebuild only when some cell
-     actually moved, so believed-rate caches stamped with it survive the
-     (frequent) epoch bumps that leave this row's values untouched. *)
-  row_ver : int array;
   scratch : Dense.Scratch.t;
 }
 
@@ -33,12 +28,10 @@ let create ~num_nodes =
     gaps = Dense.Cumulative_grid.create num_nodes;
     last_meeting = Dense.Mat.create ~init:nan num_nodes;
     direct;
-    updates = 0;
     epoch = 0;
     rows = Array.make num_nodes [||];
     row_epoch = Array.make num_nodes (-1);
     row_h = Array.make num_nodes 0;
-    row_ver = Array.make num_nodes 0;
     scratch = Dense.Scratch.create ();
   }
 
@@ -65,8 +58,7 @@ let observe t ~now ~a ~b =
     Dense.Mat.set t.direct y x mean;
     t.epoch <- t.epoch + 1
   end;
-  Dense.Mat.set t.last_meeting x y now;
-  t.updates <- t.updates + 1
+  Dense.Mat.set t.last_meeting x y now
 
 let direct_mean t a b =
   if a = b then Some 0.0
@@ -111,33 +103,9 @@ let build_row t ~h a =
     cur := !next;
     next := tmp
   done;
-  let fresh = !cur in
-  let row =
-    if Array.length t.rows.(a) = n then begin
-      (* Bump the content version only if some cell moved: a rebuild that
-         reproduces the old values keeps every stamp derived from this
-         row alive. Cells are means / min-plus sums of positive gaps (or
-         [infinity], or 0 on the diagonal) — never nan, never -0. — so
-         plain float equality is exact. *)
-      let old = t.rows.(a) in
-      let changed = ref false in
-      let i = ref 0 in
-      while (not !changed) && !i < n do
-        if Array.unsafe_get old !i <> Array.unsafe_get fresh !i then
-          changed := true;
-        incr i
-      done;
-      if !changed then t.row_ver.(a) <- t.row_ver.(a) + 1;
-      old
-    end
-    else begin
-      let r = Array.make n 0.0 in
-      t.rows.(a) <- r;
-      t.row_ver.(a) <- t.row_ver.(a) + 1;
-      r
-    end
-  in
-  Array.blit fresh 0 row 0 n;
+  if Array.length t.rows.(a) <> n then t.rows.(a) <- Array.make n 0.0;
+  let row = t.rows.(a) in
+  Array.blit !cur 0 row 0 n;
   t.row_epoch.(a) <- t.epoch;
   t.row_h.(a) <- h;
   row
@@ -162,18 +130,6 @@ let expected_meeting_time ?(h = 3) t a b =
 let row ?(h = 3) t b =
   if t.row_epoch.(b) = t.epoch && t.row_h.(b) = h then t.rows.(b)
   else build_row t ~h b
-
-(* Bring the row up to date exactly as a query would (same lazy build,
-   same counters), then report its content version. Callers stamping a
-   cached value with this must only call it when a query for the row is
-   about to happen anyway, so the build accounting stays identical to the
-   uncached walk. *)
-let row_version ?(h = 3) t a =
-  if not (t.row_epoch.(a) = t.epoch && t.row_h.(a) = h) then
-    ignore (build_row t ~h a);
-  t.row_ver.(a)
-
-let updates_count t = t.updates
 
 let global_mean t =
   let w = Stats.Welford.create () in

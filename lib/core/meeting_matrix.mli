@@ -16,7 +16,12 @@
     same table; the in-band control channel still *charges* for table
     entries, but all nodes read the converged view. The first observed gap
     for a pair is measured from the trace start, seeding estimates
-    early. *)
+    early.
+
+    The [h]-hop estimates are kept as rows, one per queried node, each
+    rebuilt in place on its first query after any direct mean moved.
+    Rows carry no version, so callers re-read a row rather than cache
+    values derived from it. *)
 
 type t
 
@@ -38,19 +43,6 @@ val row : ?h:int -> t -> int -> float array
     node's own index). Borrowed: valid only until the next {!observe};
     callers must not mutate it. Triggers the same lazy build a query
     would. *)
-
-val row_version : ?h:int -> t -> int -> int
-(** Content version of the ≤[h]-hop row keyed on the given node: first
-    brings the row up to date (the same lazy build a query triggers —
-    call this only when a query is imminent so build counts are
-    unchanged), then returns a counter that bumps only when a rebuild
-    actually moved some cell. Together with {!Replica_db.version} it
-    forms the believed-rate cache stamp: while both stand still, every
-    [expected_meeting_time (·, node)] read is unchanged. *)
-
-val updates_count : t -> int
-(** Total number of cell updates so far — used by the control channel to
-    price table synchronization. *)
 
 val global_mean : t -> float option
 (** Mean over all observed direct pair averages (a prior for unknown

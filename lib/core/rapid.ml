@@ -73,6 +73,10 @@ let make params : Protocol.packed =
          (Algorithm 2 step 3). *)
       pair_transfer : Dense.Cumulative_grid.t;
       global_transfer : Moving_average.Cumulative.t;
+      (* [global_transfer]'s mean (1e6 before any contact), written by
+         [on_contact] right after its only [add], so [b_avg] reads it
+         without a boxed float. *)
+      global_avg : float array;
       (* Per-node believed replica locations; [truth] is ground truth,
          maintained from first-hand events, read only by the
          instant-global channel. *)
@@ -90,12 +94,8 @@ let make params : Protocol.packed =
          [plan] syncs the receiver's; [on_transfer] reads it unsynced, so
          a contact's transfers see the positions its plan ranked by. *)
       pos : Position_index.t array;
-      (* Believed-rate cache (Eq. 9): rates stamped with
-         (Replica_db.version, Meeting_matrix.row_version) and reused
-         until either input moves. See Rate_cache / DESIGN §3a. *)
-      rcache : Rate_cache.t;
-      (* One-slot float results: [believed_rate] writes [rate.(0)] (so does
-         a [Rate_cache] hit), [local_loss] writes [loss.(0)], and
+      (* One-slot float results: [believed_rate] writes [rate.(0)],
+         [local_loss] writes [loss.(0)], and
          [drop_candidate]'s min-scan keeps its best score in [best.(0)].
          A float returned from a function that is not inlined is boxed;
          a float array slot is not. *)
@@ -147,13 +147,13 @@ let make params : Protocol.packed =
         matrix = Meeting_matrix.create ~num_nodes:n;
         pair_transfer = Dense.Cumulative_grid.create n;
         global_transfer = Moving_average.Cumulative.create ();
+        global_avg = [| 1e6 |];
         dbs = Array.init n (fun _ -> Replica_db.create ());
         truth = Replica_db.create ();
         gossip = Gossip.create ~num_nodes:n;
         meet_count = Array.make n 0;
         last_table_sync = Dense.Int_mat.create n;
         pos = Array.init n (fun _ -> Position_index.create ());
-        rcache = Rate_cache.create ~num_nodes:n;
         rate = [| 0.0 |];
         loss = [| 0.0 |];
         best = [| 0.0 |];
@@ -194,12 +194,19 @@ let make params : Protocol.packed =
       | Control_channel.Instant_global -> t.truth
       | Control_channel.In_band | Control_channel.Local_only -> t.dbs.(node)
 
-    (* B_j: expected transfer opportunity between [holder] and [dst]. *)
-    let b_avg t ~holder ~dst =
+    (* B_j: expected transfer opportunity between [holder] and [dst], the
+       global mean for a pair that never met. The same floats as
+       [Dense.Cumulative_grid.value_or] with the global mean as default,
+       but no float crosses a module boundary, so nothing is boxed. *)
+    let[@inline] b_avg t ~holder ~dst =
       let x, y = if holder < dst then (holder, dst) else (dst, holder) in
-      Dense.Cumulative_grid.value_or t.pair_transfer x y
-        ~default:
-          (Moving_average.Cumulative.value_or t.global_transfer ~default:1e6)
+      let c = Dense.Cumulative_grid.count t.pair_transfer x y in
+      if c = 0 then t.global_avg.(0)
+      else
+        Array.unsafe_get
+          (Dense.Cumulative_grid.sums t.pair_transfer)
+          ((x * t.env.Env.num_nodes) + y)
+        /. float_of_int c
 
     (* "When two nodes never meet, even via three intermediate nodes, we
        set the expected inter-meeting time to infinity" (§4.1.2): an
@@ -231,16 +238,14 @@ let make params : Protocol.packed =
       max 1 (int_of_float (Float.ceil (float_of_int bytes /. avg)))
 
     (* Total delivery rate R over the believed holders of [packet] as seen
-       by [observer] (Eq. 9 summation), written to [t.rate.(0)] and cached
-       per (observer, packet). The sum is a pure function of the packet's
-       holder set in the observer's view and of the h-hop row keyed on the
-       destination; both carry versions, so the cached value is reused
-       until one of them moves. With no holders the sum touches neither
-       the matrix nor the cache — the 0.0 short-circuit keeps row-build
-       accounting identical to the plain walk. On a hit the holder set is
-       untouched since the stamp was taken, so a re-sum would visit the
-       same holders in the same order over the same row: the cached float
-       is bit-identical to the recomputation it replaces. *)
+       by [observer] (Eq. 9 summation), written to [t.rate.(0)]. With no
+       holders the matrix is not touched, so a packet nobody holds builds
+       no row. The sum reads the destination's borrowed row directly:
+       [row.(holder)] is the exact cell [meeting_time t holder dst] reads
+       (0.0 on the diagonal), minus the per-holder revalidation; nothing
+       in the loop observes the matrix, so the row cannot move mid-sum.
+       Holders come in Replica_db's fold order, which fixes the rounding
+       the golden reports pin. *)
     let believed_rate t ~observer ~(packet : Packet.t) =
       let db = view t observer in
       let id = packet.Packet.id in
@@ -248,34 +253,19 @@ let make params : Protocol.packed =
       if n = 0 then t.rate.(0) <- 0.0
       else begin
         let dst = packet.Packet.dst in
-        let pkt_ver = Replica_db.version db ~packet_id:id in
-        let row_ver = Meeting_matrix.row_version ?h t.matrix dst in
-        if
-          not
-            (Rate_cache.find t.rcache ~observer ~packet_id:id ~pkt_ver ~row_ver
-               ~rate:t.rate)
-        then begin
-          (* Sum over the borrowed row directly: [row.(holder)] is the
-             exact cell [meeting_time t holder dst] reads (0.0 on the
-             diagonal), minus the per-holder revalidation. The row cannot
-             move mid-sum — nothing in it observes the matrix. Holders
-             come in Replica_db's fold order, which fixes the rounding. *)
-          let row = Meeting_matrix.row ?h t.matrix dst in
-          let r = ref 0.0 in
-          for i = 0 to n - 1 do
-            let holder_id = Replica_db.holder_id_at db ~packet_id:id i in
-            let mt =
-              if holder_id = dst then 0.0 else Array.unsafe_get row holder_id
-            in
-            r :=
-              !r
-              +. rate_of_holder ~meeting_time:mt
-                   ~n_meet:(Replica_db.n_meet_at db ~packet_id:id i)
-          done;
-          t.rate.(0) <- !r;
-          Rate_cache.store t.rcache ~observer ~packet_id:id ~pkt_ver ~row_ver
-            ~rate:t.rate
-        end
+        let row = Meeting_matrix.row ?h t.matrix dst in
+        let r = ref 0.0 in
+        for i = 0 to n - 1 do
+          let holder_id = Replica_db.holder_id_at db ~packet_id:id i in
+          let mt =
+            if holder_id = dst then 0.0 else Array.unsafe_get row holder_id
+          in
+          r :=
+            !r
+            +. rate_of_holder ~meeting_time:mt
+                 ~n_meet:(Replica_db.n_meet_at db ~packet_id:id i)
+        done;
+        t.rate.(0) <- !r
       end
 
     (* Rebuild [node]'s position index if its buffer moved since the last
@@ -540,6 +530,8 @@ let make params : Protocol.packed =
       let x, y = if a < b then (a, b) else (b, a) in
       Dense.Cumulative_grid.add t.pair_transfer x y (float_of_int budget);
       Moving_average.Cumulative.add t.global_transfer (float_of_int budget);
+      t.global_avg.(0) <-
+        Moving_average.Cumulative.value_or t.global_transfer ~default:1e6;
       refresh_own t ~now a;
       refresh_own t ~now b;
       let bytes = ref 0 in
@@ -748,10 +740,6 @@ let make params : Protocol.packed =
         ~holder_id:node
 
     let on_reboot t ~now:_ ~node ~lost =
-      (* The replacement replica DB below restarts the node's version
-         sequence, so every believed-rate stamp this observer holds is
-         poisoned. *)
-      Rate_cache.drop_observer t.rcache node;
       Array.fill t.own_n.(node) 0 (Array.length t.own_n.(node)) (-1);
       (* First-hand truth: the crashed copies are gone. *)
       List.iter

@@ -25,15 +25,19 @@
     work-conserving recomputation within a contact because replicating a
     packet only lowers its own D(i).
 
-    Cost: scoring a candidate ([plan], per sender buffer entry) or a
-    victim ([drop_candidate], per buffered entry) allocates nothing. The
+    Cost: scoring a candidate ([plan], per sender buffer entry), a
+    victim ([drop_candidate], per buffered entry) or an own copy's n_j(i)
+    (every buffered entry of both peers, per contact) allocates nothing.
+    Believed rates are not cached: Eq. 9 is re-summed on every read. The
     dev build compiles library modules [-opaque], so any float returned
     by (or passed to) a function that is not inlined is boxed; the
     scoring loops therefore read holders by index from {!Replica_db},
-    take believed rates and losses back through one-slot float arrays
-    (as {!Rate_cache} does), read meeting times from the destination's
-    borrowed {!Meeting_matrix.row}, and inline the Eq. 9 formulas below,
-    which is why those live here and not in {!Estimate_delay}. *)
+    take believed rates and losses back through one-slot float arrays,
+    read meeting times from the destination's borrowed
+    {!Meeting_matrix.row} and transfer-opportunity means from
+    [Dense.Cumulative_grid]'s borrowed sums, and inline the Eq. 9
+    formulas below, which is why those live here and not in
+    {!Estimate_delay}. *)
 
 (** {1 Eq. 9 (§4.1.1)}
 

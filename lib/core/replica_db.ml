@@ -37,13 +37,6 @@ type t = {
   mutable log_hids : int array;
   mutable log_len : int;
   mutable log_newest : float;
-  (* Per-packet mutation version, bumped by every write that can change a
-     packet's holder set (set_holder, applied merge, remove_holder of a
-     present holder, remove_packet of a known packet). Same indexing as
-     [recs]; slots survive record removal so a forgotten-then-regossiped
-     packet can never replay an old version value. Backs the believed-rate
-     cache's (packet version, row version) stamp. *)
-  mutable vers : int array;
 }
 
 (* Bound on log length: beyond it the oldest deltas are discarded, so a
@@ -76,20 +69,12 @@ let create () =
     log_hids = [||];
     log_len = 0;
     log_newest = neg_infinity;
-    vers = [||];
   }
 
 let rec_of t packet_id =
   if packet_id >= 0 && packet_id < Array.length t.recs then
     Array.unsafe_get t.recs packet_id
   else absent
-
-let version t ~packet_id =
-  if packet_id < Array.length t.vers then t.vers.(packet_id) else 0
-
-(* Only called once [record_of] has sized [vers] past [packet_id], or for
-   a packet with a stored record. *)
-let bump_version t packet_id = t.vers.(packet_id) <- t.vers.(packet_id) + 1
 
 let log_update t ~time ~packet_id ~holder_id =
   let time = Float.max time t.log_newest in
@@ -123,11 +108,9 @@ let record_of t (packet : Packet.t) =
   let cap = Array.length t.recs in
   if id >= cap then begin
     let n = max 256 (2 * (id + 1)) in
-    let recs = Array.make n absent and vers = Array.make n 0 in
+    let recs = Array.make n absent in
     Array.blit t.recs 0 recs 0 cap;
-    Array.blit t.vers 0 vers 0 cap;
-    t.recs <- recs;
-    t.vers <- vers
+    t.recs <- recs
   end;
   let r = t.recs.(id) in
   if r != absent then r
@@ -194,7 +177,6 @@ let set_holder t ~packet ~holder_id ~n_meet ~now =
   let h = { n_meet; updated_at = now } in
   let i = index_of r holder_id in
   if i >= 0 then r.hs.(i) <- h else insert t r holder_id h;
-  bump_version t packet.Packet.id;
   log_update t ~time:now ~packet_id:packet.Packet.id ~holder_id
 
 let merge t ~packet ~holder_id ~holder =
@@ -203,7 +185,6 @@ let merge t ~packet ~holder_id ~holder =
   if i >= 0 && r.hs.(i).updated_at >= holder.updated_at then false
   else begin
     if i >= 0 then r.hs.(i) <- holder else insert t r holder_id holder;
-    bump_version t packet.Packet.id;
     log_update t ~time:holder.updated_at ~packet_id:packet.Packet.id ~holder_id;
     true
   end
@@ -218,7 +199,6 @@ let remove_holder t ~packet_id ~holder_id =
     r.hs.(n) <- no_holder;
     r.count <- n;
     t.size <- t.size - 1;
-    bump_version t packet_id;
     if n = 0 then t.recs.(packet_id) <- absent
   end
 
@@ -226,8 +206,7 @@ let remove_packet t ~packet_id =
   let r = rec_of t packet_id in
   if r != absent then begin
     t.size <- t.size - r.count;
-    t.recs.(packet_id) <- absent;
-    bump_version t packet_id
+    t.recs.(packet_id) <- absent
   end
 
 let holders t ~packet_id =

@@ -19,7 +19,9 @@
     doubled whenever the count exceeds [2 * nb]; the newest insertion first
     within a bucket). RAPID's Eq. 9 sum adds the holders' rates in this
     order, and float addition is not associative, so the golden reports
-    pin the order (DESIGN §3a.9). *)
+    pin the order (DESIGN §3a.9). Nothing derived from a holder set is
+    cached (RAPID re-sums Eq. 9 on every read), so writes keep no
+    per-packet version. *)
 
 type holder = { n_meet : int; updated_at : float }
 
@@ -70,17 +72,6 @@ val holder_id_at : t -> packet_id:int -> int -> int
 
 val n_meet_at : t -> packet_id:int -> int -> int
 (** The n_j(i) of the [i]-th holder in fold order. *)
-
-val version : t -> packet_id:int -> int
-(** Per-packet mutation version: strictly increases on every write that
-    can change the packet's holder set — {!set_holder}, an applied
-    {!merge}, {!remove_holder} of a present holder, {!remove_packet} of a
-    known packet. A rejected (stale) merge or a removal of something not
-    stored leaves it untouched. Versions survive {!remove_packet}, so a
-    packet forgotten and later re-learned from gossip continues the same
-    sequence — a cache stamped with an old version can never be revived
-    by coincidence. Unknown packets read as 0; any stored state implies a
-    version >= 1. *)
 
 val iter_ids_since :
   t -> float -> (packet_id:int -> holder_id:int -> unit) -> unit

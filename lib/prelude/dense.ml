@@ -31,6 +31,7 @@ module Cumulative_grid = struct
     t.sum.(k) <- t.sum.(k) +. x
 
   let count t i j = t.count.((i * t.n) + j)
+  let sums t = t.sum
 
   let value t i j =
     let k = (i * t.n) + j in

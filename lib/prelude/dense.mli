@@ -50,6 +50,12 @@ module Cumulative_grid : sig
   val add : t -> int -> int -> float -> unit
   val count : t -> int -> int -> int
 
+  val sums : t -> float array
+  (** The row-major backing store of the cells' sums (cell [(i, j)] at
+      [i*dim + j]), so a hot loop can form [sum /. float count] itself
+      without a float crossing a function boundary. Borrowed: callers
+      must not mutate it. *)
+
   val value : t -> int -> int -> float option
   (** [None] before the first observation of the cell. *)
 

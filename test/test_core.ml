@@ -299,67 +299,6 @@ let test_replica_db_entries_since () =
   Alcotest.(check int) "recent only" 1 (List.length (entries_since db 2.0));
   Alcotest.(check int) "none" 0 (List.length (entries_since db 5.0))
 
-let test_replica_db_versions () =
-  let db = Replica_db.create () in
-  let p = packet ~id:3 ~src:0 ~dst:1 () in
-  Alcotest.(check int) "unknown packet reads 0" 0
-    (Replica_db.version db ~packet_id:3);
-  Replica_db.set_holder db ~packet:p ~holder_id:0 ~n_meet:1 ~now:1.0;
-  let v1 = Replica_db.version db ~packet_id:3 in
-  Alcotest.(check bool) "stored state implies version >= 1" true (v1 >= 1);
-  let applied =
-    Replica_db.merge db ~packet:p ~holder_id:0
-      ~holder:{ Replica_db.n_meet = 9; updated_at = 0.5 }
-  in
-  Alcotest.(check bool) "stale merge rejected" false applied;
-  Alcotest.(check int) "rejected merge keeps version" v1
-    (Replica_db.version db ~packet_id:3);
-  let applied =
-    Replica_db.merge db ~packet:p ~holder_id:4
-      ~holder:{ Replica_db.n_meet = 2; updated_at = 2.0 }
-  in
-  Alcotest.(check bool) "fresh merge applied" true applied;
-  let v2 = Replica_db.version db ~packet_id:3 in
-  Alcotest.(check bool) "applied merge bumps" true (v2 > v1);
-  Replica_db.remove_holder db ~packet_id:3 ~holder_id:7;
-  Alcotest.(check int) "absent removal keeps version" v2
-    (Replica_db.version db ~packet_id:3);
-  Replica_db.remove_holder db ~packet_id:3 ~holder_id:4;
-  let v3 = Replica_db.version db ~packet_id:3 in
-  Alcotest.(check bool) "present removal bumps" true (v3 > v2);
-  Replica_db.remove_packet db ~packet_id:3;
-  let v4 = Replica_db.version db ~packet_id:3 in
-  Alcotest.(check bool) "forgetting bumps" true (v4 > v3);
-  Replica_db.remove_packet db ~packet_id:3;
-  Alcotest.(check int) "forgetting the unknown keeps version" v4
-    (Replica_db.version db ~packet_id:3);
-  (* The sequence survives the forget: a packet re-learned from gossip
-     can never coincide with a stamp taken before it was forgotten. *)
-  Replica_db.set_holder db ~packet:p ~holder_id:2 ~n_meet:1 ~now:3.0;
-  Alcotest.(check bool) "re-learning continues the sequence" true
-    (Replica_db.version db ~packet_id:3 > v4)
-
-let test_matrix_row_version_content_stamped () =
-  let m = Meeting_matrix.create ~num_nodes:6 in
-  (* Connected pair (0,1); pair (4,5) in its own component. *)
-  Meeting_matrix.observe m ~now:100.0 ~a:0 ~b:1;
-  Meeting_matrix.observe m ~now:300.0 ~a:0 ~b:1;
-  let v1 = Meeting_matrix.row_version m 1 in
-  Alcotest.(check int) "stable across queries" v1
-    (Meeting_matrix.row_version m 1);
-  (* A mean change in the disconnected component forces a rebuild of
-     row 1 (the shared epoch moved) but cannot move any of its cells:
-     the content version must not bump, so believed-rate stamps built on
-     it survive. *)
-  Meeting_matrix.observe m ~now:50.0 ~a:4 ~b:5;
-  Meeting_matrix.observe m ~now:150.0 ~a:4 ~b:5;
-  Alcotest.(check int) "value-identical rebuild keeps version" v1
-    (Meeting_matrix.row_version m 1);
-  (* Moving the (0,1) mean moves row 1's cells: the version bumps. *)
-  Meeting_matrix.observe m ~now:1300.0 ~a:0 ~b:1;
-  Alcotest.(check bool) "moved row bumps version" true
-    (Meeting_matrix.row_version m 1 > v1)
-
 (* ------------------------------------------------------------------ *)
 (* RAPID end-to-end *)
 
@@ -656,9 +595,9 @@ let test_rapid_drop_candidate_own_replacement () =
 let test_rapid_drop_candidate_allocation_flat () =
   (* Eviction scores every buffered entry on every call (§3.4), so its
      per-entry work must allocate nothing. Node 0 buffers foreign replicas
-     of packets whose sources also hold them; after one call the rate
-     cache serves every believed rate. Repeated calls must then allocate
-     the same words per call at 200 entries as at 50. *)
+     of packets whose sources also hold them, so every believed rate sums
+     two holders. Repeated calls must allocate the same words per call at
+     200 entries as at 50. *)
   let words_per_call entries =
     let module P = (val rapid () : Protocol.S) in
     let env =
@@ -707,6 +646,56 @@ let test_rapid_drop_candidate_allocation_flat () =
     Alcotest.failf
       "drop_candidate allocates %.1f words per call over 200 entries, %.1f \
        over 50: its per-entry scan allocates"
+      large small
+
+let test_rapid_on_contact_allocation_flat () =
+  (* Every contact re-scores each buffered entry of both peers
+     ([refresh_own]) and plans over the sender's buffer, so the per-entry
+     work must allocate nothing. Node 0 holds its own packets, half for
+     destination 3 (met, so B_j is the pair's mean) and half for
+     destination 2 (never met, so B_j is the global mean). Lost exchanges
+     and a constant budget keep every estimate still, so repeated
+     meetings with node 1 must allocate the same words per call at 200
+     entries as at 50. *)
+  let words_per_call entries =
+    let module P = (val rapid () : Protocol.S) in
+    let env =
+      Env.create ~num_nodes:4 ~duration:1e6 ~buffer_capacity:None ~seed:1
+    in
+    let st = P.create env in
+    let meet now a b =
+      ignore
+        (P.on_contact st
+           { Protocol.now; a; b; budget = 10_000; meta_budget = None;
+             meta_ok = false })
+    in
+    meet 10.0 0 3;
+    for id = 0 to entries - 1 do
+      let p =
+        packet ~id ~src:0 ~dst:(2 + (id mod 2)) ~size:(10 + (id mod 7))
+          ~created:(100.0 +. float_of_int id) ()
+      in
+      Buffer.add env.Env.buffers.(0) (entry p);
+      P.on_created st ~now:p.Packet.created p
+    done;
+    let clock = ref 1000.0 in
+    let contact () =
+      clock := !clock +. 10.0;
+      meet !clock 0 1
+    in
+    contact ();
+    let calls = 50 in
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      contact ()
+    done;
+    (Gc.minor_words () -. before) /. float_of_int calls
+  in
+  let small = words_per_call 50 and large = words_per_call 200 in
+  if large > small then
+    Alcotest.failf
+      "on_contact allocates %.1f words per call over 200 entries, %.1f over \
+       50: its per-entry work allocates"
       large small
 
 let contention_scenario ~seed =
@@ -937,89 +926,6 @@ let prop_more_holders_never_slower =
           Rapid.expected_delay ~rate:(rate holders)
           <= Rapid.expected_delay ~rate:(rate rest))
 
-let prop_rate_cache_stamps_sound =
-  (* The believed-rate cache contract (DESIGN §3a): a value stamped with
-     (Replica_db per-packet version, Meeting_matrix row content version)
-     may be served as long as both stamps still match — under ANY
-     interleaving of holder-set writes and meeting observations. The
-     oracle is the always-refolded Eq. 9 sum; equality is exact float
-     equality, because the contract is bit-identity, not approximation.
-     A mutation path that forgets to bump its stamp shows up here as a
-     stale hit diverging from the oracle. *)
-  QCheck.Test.make
-    ~name:"rate cache stamped hits = always-refold (interleavings)"
-    ~count:60
-    QCheck.(int_range 0 100_000)
-    (fun seed ->
-      let rng = Rapid_prelude.Rng.create seed in
-      let n = 8 in
-      let dst = n - 1 in
-      let m = Meeting_matrix.create ~num_nodes:n in
-      let db = Replica_db.create () in
-      let rc = Rate_cache.create ~num_nodes:1 in
-      let p = packet ~id:5 ~src:0 ~dst ~size:100 () in
-      let clock = ref 0.0 in
-      let tick () =
-        clock := !clock +. 1.0 +. (Rapid_prelude.Rng.float rng *. 10.0);
-        !clock
-      in
-      let fold_rate () =
-        let row = Meeting_matrix.row ~h:3 m dst in
-        Replica_db.fold_holders db ~packet_id:5 ~init:0.0
-          ~f:(fun acc holder_id (h : Replica_db.holder) ->
-            let mt = if holder_id = dst then 0.0 else row.(holder_id) in
-            acc
-            +. Rapid.rate_of_holder ~meeting_time:mt
-                 ~n_meet:h.Replica_db.n_meet)
-      in
-      let ok = ref true in
-      for _ = 1 to 120 do
-        (match Rapid_prelude.Rng.int rng 6 with
-        | 0 | 1 ->
-            let a = Rapid_prelude.Rng.int rng n in
-            let b = (a + 1 + Rapid_prelude.Rng.int rng (n - 1)) mod n in
-            if a <> b then Meeting_matrix.observe m ~now:(tick ()) ~a ~b
-        | 2 ->
-            Replica_db.set_holder db ~packet:p
-              ~holder_id:(Rapid_prelude.Rng.int rng n)
-              ~n_meet:(1 + Rapid_prelude.Rng.int rng 5)
-              ~now:(tick ())
-        | 3 ->
-            (* Gossip with a random (possibly stale) origin timestamp:
-               rejected merges must leave the stamp untouched. *)
-            ignore
-              (Replica_db.merge db ~packet:p
-                 ~holder_id:(Rapid_prelude.Rng.int rng n)
-                 ~holder:
-                   {
-                     Replica_db.n_meet = 1 + Rapid_prelude.Rng.int rng 5;
-                     updated_at = Rapid_prelude.Rng.float rng *. !clock;
-                   })
-        | 4 ->
-            Replica_db.remove_holder db ~packet_id:5
-              ~holder_id:(Rapid_prelude.Rng.int rng n)
-        | _ ->
-            if Rapid_prelude.Rng.int rng 4 = 0 then
-              Replica_db.remove_packet db ~packet_id:5);
-        if Replica_db.holder_count db ~packet_id:5 > 0 then begin
-          let pkt_ver = Replica_db.version db ~packet_id:5 in
-          let row_ver = Meeting_matrix.row_version ~h:3 m dst in
-          let slot = [| nan |] in
-          if
-            not
-              (Rate_cache.find rc ~observer:0 ~packet_id:5 ~pkt_ver ~row_ver
-                 ~rate:slot)
-          then begin
-            slot.(0) <- fold_rate ();
-            Rate_cache.store rc ~observer:0 ~packet_id:5 ~pkt_ver ~row_ver
-              ~rate:slot
-          end;
-          let served = slot.(0) in
-          if not (Float.equal served (fold_rate ())) then ok := false
-        end
-      done;
-      !ok)
-
 let prop_position_index_matches_scan =
   (* RAPID's position index against Estimate_delay's reference scan:
      after any add/remove/clear history, every packet of the pool,
@@ -1225,7 +1131,7 @@ let prop_gossip_matches_reference =
 
 (* The replica DB as it stood before its records went flat: a Hashtbl of
    records, each with a [Hashtbl.create 4] of holders, plus the same
-   update log and versions. [Replica_db] must answer every query exactly
+   update log. [Replica_db] must answer every query exactly
    as this does, fold order included: RAPID's Eq. 9 sum visits holders in
    fold order, so the order fixes the rounding of every believed rate. *)
 module Ref_replica_db = struct
@@ -1235,19 +1141,9 @@ module Ref_replica_db = struct
     records : (int, record) Hashtbl.t;
     mutable log : (float * int * int) list; (* newest first *)
     mutable newest : float;
-    vers : (int, int) Hashtbl.t;
   }
 
-  let create () =
-    { records = Hashtbl.create 256; log = []; newest = neg_infinity;
-      vers = Hashtbl.create 16 }
-
-  let bump t pid =
-    Hashtbl.replace t.vers pid
-      (1 + Option.value ~default:0 (Hashtbl.find_opt t.vers pid))
-
-  let version t ~packet_id =
-    Option.value ~default:0 (Hashtbl.find_opt t.vers packet_id)
+  let create () = { records = Hashtbl.create 256; log = []; newest = neg_infinity }
 
   let log t time pid hid =
     t.newest <- Float.max time t.newest;
@@ -1264,7 +1160,6 @@ module Ref_replica_db = struct
   let set_holder t ~packet ~holder_id ~n_meet ~now =
     let r = record_of t packet in
     Hashtbl.replace r.holders holder_id { Replica_db.n_meet; updated_at = now };
-    bump t packet.Packet.id;
     log t now packet.Packet.id holder_id
 
   let merge t ~packet ~holder_id ~(holder : Replica_db.holder) =
@@ -1275,7 +1170,6 @@ module Ref_replica_db = struct
         false
     | Some _ | None ->
         Hashtbl.replace r.holders holder_id holder;
-        bump t packet.Packet.id;
         log t holder.Replica_db.updated_at packet.Packet.id holder_id;
         true
 
@@ -1283,15 +1177,11 @@ module Ref_replica_db = struct
     match Hashtbl.find_opt t.records packet_id with
     | Some r when Hashtbl.mem r.holders holder_id ->
         Hashtbl.remove r.holders holder_id;
-        bump t packet_id;
         if Hashtbl.length r.holders = 0 then Hashtbl.remove t.records packet_id
     | Some _ | None -> ()
 
   let remove_packet t ~packet_id =
-    if Hashtbl.mem t.records packet_id then begin
-      Hashtbl.remove t.records packet_id;
-      bump t packet_id
-    end
+    Hashtbl.remove t.records packet_id
 
   let fold_sequence t ~packet_id =
     match Hashtbl.find_opt t.records packet_id with
@@ -1319,8 +1209,8 @@ let prop_replica_db_matches_reference =
      packets make records shrink and restart. After every step each
      query is compared with the reference: the exact fold sequence (ids
      and holder records), the sorted holder list, the count, the n_meet
-     read of a present and of a random holder, the version, entry_since
-     at a random threshold, the log suffix and the size. *)
+     read of a present and of a random holder, entry_since at a random
+     threshold, the log suffix and the size. *)
   QCheck.Test.make ~name:"replica db = reference model" ~count:60
     QCheck.(int_range 0 100_000)
     (fun seed ->
@@ -1393,9 +1283,6 @@ let prop_replica_db_matches_reference =
               expect (Replica_db.n_meet db ~packet_id ~holder_id = n_meet holder_id));
           let holder_id = Rng.int rng 100 in
           expect (Replica_db.n_meet db ~packet_id ~holder_id = n_meet holder_id);
-          expect
-            (Replica_db.version db ~packet_id
-            = Ref_replica_db.version model ~packet_id);
           let threshold = !now -. float_of_int (Rng.int rng 30) in
           let want =
             match Ref_replica_db.find model ~packet_id ~holder_id with
@@ -1422,8 +1309,8 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_nmeet_monotone_in_position; prop_more_holders_never_slower;
       prop_rapid_meta_cap_respected; prop_lazy_rows_equal_full_closure;
-      prop_rate_cache_stamps_sound; prop_position_index_matches_scan;
-      prop_gossip_matches_reference; prop_replica_db_matches_reference ]
+      prop_position_index_matches_scan; prop_gossip_matches_reference;
+      prop_replica_db_matches_reference ]
 
 let () =
   Alcotest.run "core"
@@ -1439,8 +1326,6 @@ let () =
           Alcotest.test_case "global mean" `Quick test_matrix_global_mean;
           Alcotest.test_case "same-instant keeps cache" `Quick
             test_matrix_same_instant_keeps_cache;
-          Alcotest.test_case "row version content-stamped" `Quick
-            test_matrix_row_version_content_stamped;
         ] );
       ( "estimate_delay",
         [
@@ -1459,7 +1344,6 @@ let () =
           Alcotest.test_case "merge freshness" `Quick test_replica_db_merge_freshness;
           Alcotest.test_case "entries since" `Quick test_replica_db_entries_since;
           Alcotest.test_case "log truncation" `Quick test_replica_db_log_truncation;
-          Alcotest.test_case "versions" `Quick test_replica_db_versions;
         ] );
       ( "rapid",
         [
@@ -1494,6 +1378,8 @@ let () =
             test_rapid_drop_candidate_own_replacement;
           Alcotest.test_case "drop candidate allocation flat" `Quick
             test_rapid_drop_candidate_allocation_flat;
+          Alcotest.test_case "on contact allocation flat" `Quick
+            test_rapid_on_contact_allocation_flat;
           Alcotest.test_case "golden fixed-seed reports" `Slow
             test_rapid_golden_reports;
         ] );
