@@ -152,7 +152,7 @@ let () =
       match counter name with
       | Some v -> Printf.printf "%s = %d\n" name v
       | None -> fail "missing counter \"%s\"" name)
-    [ "buffer.rebuilds"; "send_queue.plans"; "send_queue.replans" ];
+    [ "buffer.rebuilds"; "send_queue.plans" ];
   (* Solver instrumentation: the sparse revised simplex (and its LU /
      presolve layers) and the branch-and-bound layer each register their
      hot-path counters at module init, so they must be present (possibly

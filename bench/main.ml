@@ -256,21 +256,14 @@ let microbenchmarks () =
       done
     in
     let q = Send_queue.create () in
-    let by_created (a : Buffer.entry) (b : Buffer.entry) =
-      match
-        Float.compare a.packet.Packet.created b.packet.Packet.created
-      with
-      | 0 -> Int.compare a.packet.Packet.id b.packet.Packet.id
-      | n -> n
-    in
     (* Exercises the per-contact hot loop end to end: rank the sender's
-       buffer through the shared sort arena, then drain the cursor's
-       removal-counter fast path with one [next] call per packet. *)
+       buffer through the shared sort arena, then drain the cursor with
+       one [next] call per packet, each checking its pop. *)
     Test.make ~name:"send-queue plan+serve (64-packet contact)"
       (Staged.stage (fun () ->
            Send_queue.begin_contact q;
            Send_queue.begin_plan q env ~sender:0 ~receiver:1;
-           Send_queue.push_entries q ~cmp:by_created
+           Send_queue.push_entries q ~cmp:Send_queue.by_age
              (Send_queue.candidates env ~sender:0 ~receiver:1);
            Send_queue.finish_plan q;
            let rec drain n =

@@ -104,14 +104,6 @@ let make params : Protocol.packed =
       best : float array;
       (* Scratch: (packet, new n_meet) pairs a refresh must write. *)
       refresh_changed : (Packet.t * int) Sortbuf.t;
-      (* own_n.(node).(packet id): mirror of the n_meet recorded in
-         dbs.(node) for holder [node] itself (-1 = no entry), kept in
-         lockstep with every write path. Turns the per-entry hysteresis
-         lookup of [refresh_own] into an array load. Only consulted for
-         packets currently buffered at [node] — the one case gossip can
-         insert an own-holder entry behind its back (a merge for a
-         non-buffered packet) is never read. *)
-      mutable own_n : int array array;
       (* Flat per-plan scoring scratch: candidate packets and their
          ranking key in parallel growable arrays, ranked by sorting an
          index permutation through the shared Sortbuf arena — no boxed
@@ -120,14 +112,6 @@ let make params : Protocol.packed =
       mutable plan_key : float array;
       mutable plan_len : int;
       plan_order : int Sortbuf.t;
-      (* Per-plan memo of the (receiver, dst)-constant sub-expressions of
-         Estimate_delay — meeting_time receiver dst and the clamped B_j —
-         hoisted out of the candidate loop. Keyed by dst; a generation
-         stamp (bumped per plan) replaces clearing. *)
-      mt_memo : float array;
-      avg_memo : float array;
-      memo_stamp : int array;
-      mutable memo_gen : int;
     }
 
     let name =
@@ -158,36 +142,14 @@ let make params : Protocol.packed =
         loss = [| 0.0 |];
         best = [| 0.0 |];
         refresh_changed = Sortbuf.create ();
-        own_n = Array.init n (fun _ -> [||]);
         plan_pkts = [||];
         plan_key = [||];
         plan_len = 0;
         plan_order = Sortbuf.create ();
-        mt_memo = Array.make n 0.0;
-        avg_memo = Array.make n 0.0;
-        memo_stamp = Array.make n 0;
-        memo_gen = 0;
       }
 
     (* -------------------------------------------------------------- *)
     (* Estimation helpers *)
-
-    let own_get t node id =
-      let row = t.own_n.(node) in
-      if id < Array.length row then row.(id) else -1
-
-    let own_set t node id n =
-      let row = t.own_n.(node) in
-      let row =
-        if id < Array.length row then row
-        else begin
-          let g = Array.make (max 256 (2 * (id + 1))) (-1) in
-          Array.blit row 0 g 0 (Array.length row);
-          t.own_n.(node) <- g;
-          g
-        end
-      in
-      row.(id) <- n
 
     let view t node =
       match params.channel with
@@ -292,7 +254,6 @@ let make params : Protocol.packed =
 
     let on_created t ~now (p : Packet.t) =
       let n = n_meet_created t ~node:p.Packet.src ~packet:p in
-      own_set t p.Packet.src p.Packet.id n;
       Replica_db.set_holder t.truth ~packet:p ~holder_id:p.Packet.src ~n_meet:n
         ~now;
       Replica_db.set_holder t.dbs.(p.Packet.src) ~packet:p
@@ -301,17 +262,12 @@ let make params : Protocol.packed =
     (* -------------------------------------------------------------- *)
     (* Selection: one send-queue plan per direction *)
 
-    let by_age (x : Buffer.entry) (y : Buffer.entry) =
-      match Float.compare x.packet.Packet.created y.packet.Packet.created with
-      | 0 -> Int.compare x.packet.Packet.id y.packet.Packet.id
-      | n -> n
-
     (* Direct-delivery segment of a plan; every comparator is a total
        order (id tie-breaks) because the scratch sort is not stable. *)
     let push_direct t ~now entries =
       match params.metric with
       | Metric.Average_delay | Metric.Maximum_delay ->
-          Send_queue.push_entries t.queue ~cmp:by_age entries
+          Send_queue.push_entries t.queue ~cmp:Send_queue.by_age entries
       | Metric.Missed_deadlines ->
           (* Alive packets by nearest deadline, then the expired ones. *)
           let alive, dead =
@@ -323,13 +279,15 @@ let make params : Protocol.packed =
           let by_deadline (x : Buffer.entry) (y : Buffer.entry) =
             match (x.packet.Packet.deadline, y.packet.Packet.deadline) with
             | Some dx, Some dy -> (
-                match Float.compare dx dy with 0 -> by_age x y | n -> n)
+                match Float.compare dx dy with
+                | 0 -> Send_queue.by_age x y
+                | n -> n)
             | Some _, None -> -1
             | None, Some _ -> 1
-            | None, None -> by_age x y
+            | None, None -> Send_queue.by_age x y
           in
           Send_queue.push_entries t.queue ~cmp:by_deadline alive;
-          Send_queue.push_entries t.queue ~cmp:by_age dead
+          Send_queue.push_entries t.queue ~cmp:Send_queue.by_age dead
 
     let[@inline] plan_push t p key =
       let cap = Array.length t.plan_key in
@@ -351,7 +309,6 @@ let make params : Protocol.packed =
       Rapid_obs.Timer.time t_rank @@ fun () ->
       Send_queue.begin_plan t.queue t.env ~sender ~receiver;
       sync_index t receiver;
-      t.memo_gen <- t.memo_gen + 1;
       t.plan_len <- 0;
       (* One slot-order walk over the sender's buffer — no materialized
          candidate / direct / rest lists. Sound because every downstream
@@ -371,17 +328,11 @@ let make params : Protocol.packed =
             else if p.Packet.dst = receiver then e :: direct
             else begin
               let dst = p.Packet.dst in
-              (* (receiver, dst)-constant sub-expressions of the score —
-                 the receiver's expected meeting time with the destination
-                 and its clamped expected transfer size — memoized per
-                 plan: they cannot move while the plan is built. *)
-              if t.memo_stamp.(dst) <> t.memo_gen then begin
-                t.mt_memo.(dst) <- meeting_time t receiver dst;
-                t.avg_memo.(dst) <-
-                  Float.max 1.0 (b_avg t ~holder:receiver ~dst);
-                t.memo_stamp.(dst) <- t.memo_gen
-              end;
-              let mt_rd = t.mt_memo.(dst) and avg_rd = t.avg_memo.(dst) in
+              (* The receiver's expected meeting time with the destination
+                 and its clamped expected transfer size: row and grid
+                 reads, the same floats for every candidate to [dst]. *)
+              let mt_rd = meeting_time t receiver dst in
+              let avg_rd = Float.max 1.0 (b_avg t ~holder:receiver ~dst) in
               (* Current believed rate and the rate the receiver would
                  add, from the sender's knowledge (the deciding node is
                  the sender, §3.4). The receiver is not currently a
@@ -483,8 +434,13 @@ let make params : Protocol.packed =
           in
           (* Hysteresis: deep-queue jitter (17 <-> 18 meetings) barely
              moves the estimate but would flood the channel; small n
-             changes matter and are always shipped. *)
-          let old = own_get t node p.Packet.id in
+             changes matter and are always shipped. [old] is what the
+             node last recorded for its own buffered copy: gossip merges
+             only strictly newer stamps, and every peer's copy of this
+             entry carries a stamp the node wrote itself. *)
+          let old =
+            Replica_db.n_meet db ~packet_id:p.Packet.id ~holder_id:node
+          in
           let unchanged =
             old >= 0 && (old = n || (old > 3 && abs (old - n) < 2))
           in
@@ -495,7 +451,6 @@ let make params : Protocol.packed =
       Sortbuf.sort changed ~cmp:(fun ((a : Packet.t), _) ((b : Packet.t), _) ->
           Int.compare a.Packet.id b.Packet.id);
       Sortbuf.iteri changed (fun _ (p, n) ->
-          own_set t node p.Packet.id n;
           Replica_db.set_holder t.truth ~packet:p ~holder_id:node ~n_meet:n
             ~now;
           Replica_db.set_holder db ~packet:p ~holder_id:node ~n_meet:n ~now)
@@ -570,7 +525,6 @@ let make params : Protocol.packed =
             let purge node =
               Protocol.Ack_store.purge t.acks t.env ~now ~node
                 ~on_purge:(fun p ->
-                  own_set t node p.Packet.id (-1);
                   Replica_db.remove_packet t.dbs.(node)
                     ~packet_id:p.Packet.id;
                   Replica_db.remove_holder t.truth ~packet_id:p.Packet.id
@@ -636,8 +590,6 @@ let make params : Protocol.packed =
           Protocol.Ack_store.learn t.acks ~node:sender ~packet_id:id;
           Protocol.Ack_store.learn t.acks ~node:receiver ~packet_id:id
         end;
-        own_set t sender id (-1);
-        own_set t receiver id (-1);
         Replica_db.remove_packet t.truth ~packet_id:id;
         Replica_db.remove_packet t.dbs.(sender) ~packet_id:id;
         Replica_db.remove_packet t.dbs.(receiver) ~packet_id:id
@@ -647,7 +599,6 @@ let make params : Protocol.packed =
            there, not here): the exact within-contact rule the goldens
            pin. *)
         let n = n_meet_from_index t ~node:receiver p in
-        own_set t receiver id n;
         Replica_db.set_holder t.truth ~packet:p ~holder_id:receiver ~n_meet:n ~now;
         List.iter
           (fun node ->
@@ -734,13 +685,11 @@ let make params : Protocol.packed =
       | None -> None
 
     let on_dropped t ~now:_ ~node (p : Packet.t) =
-      own_set t node p.Packet.id (-1);
       Replica_db.remove_holder t.truth ~packet_id:p.Packet.id ~holder_id:node;
       Replica_db.remove_holder t.dbs.(node) ~packet_id:p.Packet.id
         ~holder_id:node
 
     let on_reboot t ~now:_ ~node ~lost =
-      Array.fill t.own_n.(node) 0 (Array.length t.own_n.(node)) (-1);
       (* First-hand truth: the crashed copies are gone. *)
       List.iter
         (fun (p : Packet.t) ->

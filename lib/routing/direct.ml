@@ -1,12 +1,5 @@
 open Rapid_sim
 
-(* Total order for the plan (oldest first, ties by id — what the seed's
-   stable sort over id-ordered candidates produced). *)
-let by_age (a : Buffer.entry) (b : Buffer.entry) =
-  match Float.compare a.packet.Packet.created b.packet.Packet.created with
-  | 0 -> Int.compare a.packet.Packet.id b.packet.Packet.id
-  | n -> n
-
 let make () : Protocol.packed =
   (module struct
     type t = { env : Env.t; queue : Send_queue.t }
@@ -19,7 +12,7 @@ let make () : Protocol.packed =
       Send_queue.begin_plan t.queue t.env ~sender ~receiver;
       let candidates = Send_queue.candidates t.env ~sender ~receiver in
       let direct, _ = Protocol.split_direct ~receiver candidates in
-      Send_queue.push_entries t.queue ~cmp:by_age direct;
+      Send_queue.push_entries t.queue ~cmp:Send_queue.by_age direct;
       Send_queue.finish_plan t.queue
 
     let on_contact t { Protocol.a; b; _ } =

@@ -1,12 +1,5 @@
 open Rapid_sim
 
-(* Total order (heapsort in Send_queue is not stable): oldest first,
-   ties by id, matching the seed's stable sort over id-ordered input. *)
-let by_age (a : Buffer.entry) (b : Buffer.entry) =
-  match Float.compare a.packet.Packet.created b.packet.Packet.created with
-  | 0 -> Int.compare a.packet.Packet.id b.packet.Packet.id
-  | n -> n
-
 let make () : Protocol.packed =
   (module struct
     type t = { env : Env.t; queue : Send_queue.t }
@@ -19,8 +12,8 @@ let make () : Protocol.packed =
       Send_queue.begin_plan t.queue t.env ~sender ~receiver;
       let candidates = Send_queue.candidates t.env ~sender ~receiver in
       let direct, rest = Protocol.split_direct ~receiver candidates in
-      Send_queue.push_entries t.queue ~cmp:by_age direct;
-      Send_queue.push_entries t.queue ~cmp:by_age rest;
+      Send_queue.push_entries t.queue ~cmp:Send_queue.by_age direct;
+      Send_queue.push_entries t.queue ~cmp:Send_queue.by_age rest;
       Send_queue.finish_plan t.queue
 
     let on_contact t { Protocol.a; b; _ } =
@@ -38,7 +31,9 @@ let make () : Protocol.packed =
       (* FIFO eviction: oldest copy goes first. *)
       Buffer.fold_unordered t.env.Env.buffers.(node) ~init:None
         ~f:(fun acc (e : Buffer.entry) ->
-          match acc with Some best when by_age best e <= 0 -> acc | _ -> Some e)
+          match acc with
+          | Some best when Send_queue.by_age best e <= 0 -> acc
+          | _ -> Some e)
       |> Option.map (fun (e : Buffer.entry) -> e.packet)
 
     let on_dropped _ ~now:_ ~node:_ _ = ()

@@ -13,9 +13,9 @@ let make ?(ack_entry_bytes = 8) ?(vector_entry_bytes = 12) () : Protocol.packed 
       view : float array option array array;
       (* Moving average of observed transfer-opportunity bytes. *)
       avg_transfer : Moving_average.Cumulative.t;
-      (* Dijkstra results cached within a contact (cleared on each): drop
-         decisions during heavy eviction would otherwise recompute them
-         per evicted packet. *)
+      (* Dijkstra results cached within a contact (cleared on each, and a
+         node's row on its reboot): drop decisions during heavy eviction
+         would otherwise recompute them per evicted packet. *)
       cost_cache : (int, float array) Hashtbl.t;
       (* hop_bytes.(h): buffered bytes at hop count h, scratch for
          [hop_threshold]; all zero between calls. *)
@@ -95,11 +95,6 @@ let make ?(ack_entry_bytes = 8) ?(vector_entry_bytes = 12) () : Protocol.packed 
 
     let on_created _ ~now:_ _ = ()
 
-    let by_age (x : Buffer.entry) (y : Buffer.entry) =
-      match Float.compare x.packet.Packet.created y.packet.Packet.created with
-      | 0 -> Int.compare x.packet.Packet.id y.packet.Packet.id
-      | n -> n
-
     (* Adaptive hop-count threshold: the head of the buffer (packets sorted
        by hops) claims up to half the expected transfer opportunity. The
        answer is the first hop group whose cumulative bytes exceed that
@@ -144,17 +139,19 @@ let make ?(ack_entry_bytes = 8) ?(vector_entry_bytes = 12) () : Protocol.packed 
         List.partition (fun (e : Buffer.entry) -> e.hops < threshold) rest
       in
       let by_hops (x : Buffer.entry) (y : Buffer.entry) =
-        match Int.compare x.hops y.hops with 0 -> by_age x y | n -> n
+        match Int.compare x.hops y.hops with
+        | 0 -> Send_queue.by_age x y
+        | n -> n
       in
       let costs = cached_costs t ~node:sender in
       let by_cost (x : Buffer.entry) (y : Buffer.entry) =
         match
           Float.compare costs.(x.packet.Packet.dst) costs.(y.packet.Packet.dst)
         with
-        | 0 -> by_age x y
+        | 0 -> Send_queue.by_age x y
         | n -> n
       in
-      Send_queue.push_entries t.queue ~cmp:by_age direct;
+      Send_queue.push_entries t.queue ~cmp:Send_queue.by_age direct;
       Send_queue.push_entries t.queue ~cmp:by_hops head;
       Send_queue.push_entries t.queue ~cmp:by_cost tail;
       Send_queue.finish_plan t.queue
@@ -220,10 +217,11 @@ let make ?(ack_entry_bytes = 8) ?(vector_entry_bytes = 12) () : Protocol.packed 
 
     let on_reboot t ~now:_ ~node ~lost:_ =
       (* Back to the uniform prior, forgetting every vector heard and
-         every ack learned; peers keep their (now stale) copy of this
-         node's old vector. *)
+         every ack learned, and the path costs computed from them; peers
+         keep their (now stale) copy of this node's old vector. *)
       let n = t.env.Env.num_nodes in
       t.own.(node) <- uniform n;
       Array.fill t.view.(node) 0 n None;
+      Hashtbl.remove t.cost_cache node;
       Protocol.Ack_store.reset_node t.acks ~node
   end : Protocol.S)

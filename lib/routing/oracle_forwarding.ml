@@ -1,11 +1,6 @@
 open Rapid_trace
 open Rapid_sim
 
-let by_age (a : Buffer.entry) (b : Buffer.entry) =
-  match Float.compare a.packet.Packet.created b.packet.Packet.created with
-  | 0 -> Int.compare a.packet.Packet.id b.packet.Packet.id
-  | n -> n
-
 let make ~trace () : Protocol.packed =
   (module struct
     type t = { env : Env.t; queue : Send_queue.t }
@@ -39,7 +34,7 @@ let make ~trace () : Protocol.packed =
       Send_queue.begin_plan t.queue t.env ~sender ~receiver;
       let candidates = Send_queue.candidates t.env ~sender ~receiver in
       let direct, rest = Protocol.split_direct ~receiver candidates in
-      Send_queue.push_entries t.queue ~cmp:by_age direct;
+      Send_queue.push_entries t.queue ~cmp:Send_queue.by_age direct;
       (* Forward iff handing over strictly improves the earliest-arrival
          estimate: the receiver (who has the packet from this instant) can
          deliver sooner than the sender could by keeping it past this

@@ -54,11 +54,6 @@ let make ?(p_init = 0.75) ?(beta = 0.25) ?(gamma = 0.98) ?(time_unit = 30.0)
 
     let on_created _ ~now:_ _ = ()
 
-    let by_age (a : Buffer.entry) (b : Buffer.entry) =
-      match Float.compare a.packet.Packet.created b.packet.Packet.created with
-      | 0 -> Int.compare a.packet.Packet.id b.packet.Packet.id
-      | n -> n
-
     let plan t ~sender ~receiver =
       Send_queue.begin_plan t.queue t.env ~sender ~receiver;
       let candidates = Send_queue.candidates t.env ~sender ~receiver in
@@ -77,10 +72,10 @@ let make ?(p_init = 0.75) ?(beta = 0.25) ?(gamma = 0.98) ?(time_unit = 30.0)
             t.p.(receiver).(b.packet.Packet.dst)
             t.p.(receiver).(a.packet.Packet.dst)
         with
-        | 0 -> by_age a b
+        | 0 -> Send_queue.by_age a b
         | n -> n
       in
-      Send_queue.push_entries t.queue ~cmp:by_age direct;
+      Send_queue.push_entries t.queue ~cmp:Send_queue.by_age direct;
       Send_queue.push_entries t.queue ~cmp:by_peer_predictability forwardable;
       Send_queue.finish_plan t.queue
 

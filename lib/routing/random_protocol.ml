@@ -1,11 +1,6 @@
 open Rapid_prelude
 open Rapid_sim
 
-let by_age (a : Buffer.entry) (b : Buffer.entry) =
-  match Float.compare a.packet.Packet.created b.packet.Packet.created with
-  | 0 -> Int.compare a.packet.Packet.id b.packet.Packet.id
-  | n -> n
-
 let make ?(with_acks = false) ?(summary_vector = false) ?(ack_entry_bytes = 8)
     () : Protocol.packed =
   (module struct
@@ -48,7 +43,7 @@ let make ?(with_acks = false) ?(summary_vector = false) ?(ack_entry_bytes = 8)
         else all
       in
       let direct, rest = Protocol.split_direct ~receiver entries in
-      Send_queue.push_entries t.queue ~cmp:by_age direct;
+      Send_queue.push_entries t.queue ~cmp:Send_queue.by_age direct;
       let rest = Array.of_list rest in
       Rng.shuffle t.env.Env.rng rest;
       Array.iter

@@ -24,11 +24,6 @@ let make ?(l = 12) () : Protocol.packed =
     let on_created t ~now:_ (p : Packet.t) =
       Hashtbl.replace t.tokens (key t ~node:p.Packet.src ~packet_id:p.Packet.id) l
 
-    let by_age (a : Buffer.entry) (b : Buffer.entry) =
-      match Float.compare a.packet.Packet.created b.packet.Packet.created with
-      | 0 -> Int.compare a.packet.Packet.id b.packet.Packet.id
-      | n -> n
-
     let plan t ~sender ~receiver =
       Send_queue.begin_plan t.queue t.env ~sender ~receiver;
       let candidates = Send_queue.candidates t.env ~sender ~receiver in
@@ -43,14 +38,14 @@ let make ?(l = 12) () : Protocol.packed =
             if n > 1 then Some (n, e) else None)
           rest
       in
-      Send_queue.push_entries t.queue ~cmp:by_age direct;
+      Send_queue.push_entries t.queue ~cmp:Send_queue.by_age direct;
       (* Most copies first spreads widest fastest; ties oldest-first —
          (tokens desc, created, id) is a total order, so the unstable
          array sort is deterministic. *)
       let arr = Array.of_list sprayable in
       Array.sort
         (fun (ta, (a : Buffer.entry)) (tb, (b : Buffer.entry)) ->
-          match Int.compare tb ta with 0 -> by_age a b | n -> n)
+          match Int.compare tb ta with 0 -> Send_queue.by_age a b | n -> n)
         arr;
       Array.iter (fun (_, (e : Buffer.entry)) -> Send_queue.push t.queue e.packet) arr;
       Send_queue.finish_plan t.queue

@@ -10,10 +10,8 @@ let c_rebuilds = Rapid_obs.Counter.create "buffer.rebuilds"
    entry pointers (used as fill on growth) — [len] guards every read.
 
    [epoch] moves on every mutation and versions caches built from the
-   contents (RAPID's position indexes). [removals] moves only when an
-   entry leaves the buffer — Send_queue cursors use it to skip per-pop
-   membership checks while no planned packet can have disappeared.
-   [ids] is [nth_by_id]'s selection scratch, reused call to call. *)
+   contents (RAPID's position indexes). [ids] is [nth_by_id]'s selection
+   scratch, reused call to call. *)
 type t = {
   capacity : int option;
   mutable used : int;
@@ -21,7 +19,6 @@ type t = {
   mutable len : int;
   slots : (int, int) Hashtbl.t;
   mutable epoch : int;
-  mutable removals : int;
   mutable ids : int array;
   (* Live bytes per destination, maintained at add/remove/clear so
      per-destination queue totals are O(1) instead of a buffer scan. *)
@@ -39,7 +36,6 @@ let create ~capacity =
     len = 0;
     slots = Hashtbl.create 64;
     epoch = 0;
-    removals = 0;
     ids = [||];
     dst_bytes = Hashtbl.create 16;
   }
@@ -48,7 +44,6 @@ let capacity t = t.capacity
 let used t = t.used
 let count t = t.len
 let epoch t = t.epoch
-let removals t = t.removals
 let mem t id = Hashtbl.mem t.slots id
 
 let find t id =
@@ -100,7 +95,6 @@ let remove t id =
       t.used <- t.used - entry.packet.Packet.size;
       add_dst_bytes t entry.packet.Packet.dst (-entry.packet.Packet.size);
       t.epoch <- t.epoch + 1;
-      t.removals <- t.removals + 1;
       Some entry
 
 let clear t =
@@ -115,7 +109,6 @@ let clear t =
     t.len <- 0;
     t.used <- 0;
     t.epoch <- t.epoch + 1;
-    t.removals <- t.removals + 1;
     !lost
   end
 

@@ -34,11 +34,6 @@ val epoch : t -> int
 (** Bumped on every mutation (add, remove, clear); versions caches built
     from the buffer's contents, e.g. RAPID's per-node position indexes. *)
 
-val removals : t -> int
-(** Bumped only when entries leave the buffer (remove, clear). While it
-    stands still every previously observed entry is still present, so
-    {!Send_queue} cursors skip per-pop membership checks. *)
-
 val mem : t -> int -> bool
 val find : t -> int -> entry option
 

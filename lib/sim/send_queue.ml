@@ -1,24 +1,18 @@
 open Rapid_prelude
 
 let c_plans = Rapid_obs.Counter.create "send_queue.plans"
-let c_replans = Rapid_obs.Counter.create "send_queue.replans"
+
+let by_age (x : Buffer.entry) (y : Buffer.entry) =
+  match Float.compare x.packet.Packet.created y.packet.Packet.created with
+  | 0 -> Int.compare x.packet.Packet.id y.packet.Packet.id
+  | n -> n
 
 (* One planned direction. [packets.(cursor..len-1)] is the tail still to
    offer; slots before [cursor] were served or discarded for good (old
    packets are never re-offered within a contact, which also covers
    storage refusals, and the byte budget only shrinks, so a packet too
-   big now never fits later).
-
-   Validity tracking: while the sender buffer's removal counter stands
-   still, no planned packet can have left the buffer, so the tail is
-   served without membership checks. When it moves, either the single
-   removal is provably [last_served] (the common delivery / single-copy
-   forward case, O(1) to recognise) or the tail is re-filtered — a
-   replan. The receiver-side "peer already has it" check participates in
-   the re-filter, matching the per-pop validation it replaces; within a
-   contact the receiver can only gain a planned packet by being sent it,
-   which retires that packet from the plan, so the check is belt and
-   braces rather than load-bearing. *)
+   big now never fits later). Nothing tracks what happened to the tail
+   since the plan: every pop checks the packet it is about to serve. *)
 type dir = {
   mutable sender : int;
   mutable receiver : int;
@@ -27,16 +21,6 @@ type dir = {
   mutable packets : Packet.t array;
   mutable len : int;
   mutable cursor : int;
-  mutable removals_seen : int;
-  (* Packet served since [removals_seen] was last brought up to date;
-     -1 when that slot is empty. Only such a packet can explain away a
-     single removal without a re-filter. *)
-  mutable last_served : int;
-  (* check_peer=false mode (the Random baseline without summary
-     vectors): once a removal happens, fall back to per-pop membership
-     checks — an evicted packet can legally reappear at the sender via a
-     duplicate push and must then still be offered. *)
-  mutable validate_pops : bool;
   mutable planned : bool;
 }
 
@@ -55,9 +39,6 @@ let make_dir () =
     packets = [||];
     len = 0;
     cursor = 0;
-    removals_seen = 0;
-    last_served = -1;
-    validate_pops = false;
     planned = false;
   }
 
@@ -78,8 +59,6 @@ let begin_plan ?(check_peer = true) t (env : Env.t) ~sender ~receiver =
   d.sender_buf <- env.Env.buffers.(sender);
   d.len <- 0;
   d.cursor <- 0;
-  d.last_served <- -1;
-  d.validate_pops <- false;
   t.current <- slot
 
 let current_dir t =
@@ -109,7 +88,6 @@ let push_entries t ~cmp entries =
 
 let finish_plan t =
   let d = current_dir t in
-  d.removals_seen <- Buffer.removals d.sender_buf;
   d.planned <- true;
   t.current <- -1;
   Rapid_obs.Counter.incr c_plans
@@ -122,67 +100,23 @@ let find_dir t ~sender ~receiver =
   else if matches t.dirs.(1) then Some t.dirs.(1)
   else None
 
-let revalidate (env : Env.t) (d : dir) =
-  let rem = Buffer.removals d.sender_buf in
-  if rem <> d.removals_seen then begin
-    if not d.check_peer then begin
-      (* See [validate_pops]: eager tail filtering would wrongly retire a
-         packet that gets pushed back before its turn. *)
-      d.validate_pops <- true;
-      d.removals_seen <- rem;
-      d.last_served <- -1
-    end
-    else if
-      rem = d.removals_seen + 1
-      && d.last_served >= 0
-      && not (Buffer.mem d.sender_buf d.last_served)
-    then begin
-      (* Exactly one removal since the last sync, and the packet we just
-         served is gone: that removal was the served packet (it was
-         present when served), so the tail is untouched. *)
-      d.removals_seen <- rem;
-      d.last_served <- -1
-    end
-    else begin
-      Rapid_obs.Counter.incr c_replans;
-      let w = ref d.cursor in
-      for i = d.cursor to d.len - 1 do
-        let p = d.packets.(i) in
-        if
-          Buffer.mem d.sender_buf p.Packet.id
-          && not (Env.has_packet env ~node:d.receiver ~packet:p)
-        then begin
-          d.packets.(!w) <- p;
-          incr w
-        end
-      done;
-      d.len <- !w;
-      d.removals_seen <- rem;
-      d.last_served <- -1
-    end
-  end
-
+(* A loop, not a recursive closure: a local closure over [d] and [budget]
+   would be allocated on every call. *)
 let next t (env : Env.t) ~sender ~receiver ~budget =
   match find_dir t ~sender ~receiver with
   | None -> None
   | Some d ->
-      revalidate env d;
-      let rec serve () =
-        if d.cursor >= d.len then None
-        else begin
-          let p = d.packets.(d.cursor) in
-          d.cursor <- d.cursor + 1;
-          if
-            p.Packet.size <= budget
-            && ((not d.validate_pops) || Buffer.mem d.sender_buf p.Packet.id)
-          then begin
-            d.last_served <- p.Packet.id;
-            Some p
-          end
-          else serve ()
-        end
-      in
-      serve ()
+      let served = ref None in
+      while Option.is_none !served && d.cursor < d.len do
+        let p = d.packets.(d.cursor) in
+        d.cursor <- d.cursor + 1;
+        if
+          p.Packet.size <= budget
+          && Buffer.mem d.sender_buf p.Packet.id
+          && not (d.check_peer && Env.has_packet env ~node:d.receiver ~packet:p)
+        then served := Some p
+      done;
+      !served
 
 let candidates (env : Env.t) ~sender ~receiver =
   Buffer.fold_unordered env.Env.buffers.(sender) ~init:[]

@@ -8,18 +8,16 @@
     — segments sorted through a shared {!Rapid_prelude.Sortbuf} arena —
     and the engine's [next_packet] calls are served from a cursor.
 
-    The cursor watches the sender buffer's removal counter
-    ({!Buffer.removals}): while it stands still, every planned packet is
-    still buffered and pops cost no lookups; when it moves (a delivery
-    retiring the sender's copy, an ack purge, an eviction) the tail is
-    re-validated — dropping packets no longer buffered or now present at
-    the receiver — before serving resumes. A popped packet is never
-    offered again in the same contact (covers storage refusals), and a
-    packet exceeding the remaining byte budget is discarded for good
-    (budgets only shrink within a contact).
+    Every pop checks the packet it is about to serve: it must fit the
+    remaining byte budget, still be buffered at the sender, and (under
+    [check_peer]) not be held by the receiver. So a plan needs no
+    tracking of what left the sender's buffer since it was built (a
+    delivery retiring the sender's copy, an ack purge, an eviction). A
+    popped or skipped packet is never offered again in the same contact
+    (covers storage refusals), and a packet exceeding the remaining
+    budget is discarded for good (budgets only shrink within a contact).
 
-    Counters [send_queue.plans] / [send_queue.replans] land in
-    BENCH.json. *)
+    The counter [send_queue.plans] lands in BENCH.json. *)
 
 type t
 
@@ -30,13 +28,17 @@ val begin_contact : t -> unit
 
 val begin_plan :
   ?check_peer:bool -> t -> Env.t -> sender:int -> receiver:int -> unit
-(** Start planning one direction. [check_peer] (default true) drops
-    packets the receiver already holds when the plan is re-validated;
-    protocols without summary vectors (the Random baseline) pass [false]
-    and let the engine charge the wasted duplicate transfer. *)
+(** Start planning one direction. [check_peer] (default true) skips, at
+    pop time, packets the receiver already holds; protocols without
+    summary vectors (the Random baseline) pass [false] and let the engine
+    charge the wasted duplicate transfer. *)
 
 val push : t -> Packet.t -> unit
 (** Append the next packet of the direction being planned. *)
+
+val by_age : Buffer.entry -> Buffer.entry -> int
+(** Oldest first ([created]), ties by packet id: the total order every
+    protocol uses for direct deliveries and FIFO segments. *)
 
 val push_entries :
   t -> cmp:(Buffer.entry -> Buffer.entry -> int) -> Buffer.entry list -> unit
@@ -49,11 +51,13 @@ val finish_plan : t -> unit
 
 val next :
   t -> Env.t -> sender:int -> receiver:int -> budget:int -> Packet.t option
-(** Pop the best still-legal packet; [None] when the direction is done
-    or was never planned. *)
+(** Pop the next planned packet that fits [budget], is still buffered at
+    [sender] and (under [check_peer]) is absent at [receiver], discarding
+    the ones passed over; [None] when the direction is done or was never
+    planned. *)
 
 val candidates : Env.t -> sender:int -> receiver:int -> Buffer.entry list
 (** Entries buffered at [sender] and absent at [receiver] — the raw input
-    protocols rank (no budget filtering; {!next} re-validates). The list
+    protocols rank (no budget filtering; {!next} checks each pop). The list
     is in no particular order (a slot-order walk): rank it with a total
     order before pushing. *)

@@ -204,6 +204,48 @@ let test_maxprop_no_acks_without_delivery () =
   Alcotest.(check bool) "source keeps copy" true (Buffer.mem env.Env.buffers.(0) 0);
   Alcotest.(check bool) "relay keeps copy" true (Buffer.mem env.Env.buffers.(1) 0)
 
+let test_maxprop_reboot_forgets_costs () =
+  (* A reboot resets the node's likelihood vectors, so the path costs it
+     cached at its last contact must go too. Meeting node 1 leaves node 0
+     a cost row of 3/7 to dst 1 and 6/7 to dst 2, which would evict id 6
+     (dst 2); after the reboot node 0 is a node that never met anyone,
+     whose costs tie both at 2/3, so the smaller id 5 goes. *)
+  let env =
+    Env.create ~num_nodes:4 ~duration:100.0 ~buffer_capacity:None ~seed:1
+  in
+  let (module P) = Maxprop.make () in
+  let st = P.create env in
+  ignore
+    (P.on_contact st
+       {
+         Protocol.now = 1.0;
+         a = 0;
+         b = 1;
+         budget = 1000;
+         meta_budget = None;
+         meta_ok = true;
+       });
+  let lost = Buffer.clear env.Env.buffers.(0) in
+  P.on_reboot st ~now:2.0 ~node:0 ~lost;
+  List.iter
+    (fun (id, dst) ->
+      Buffer.add env.Env.buffers.(0)
+        {
+          Buffer.packet = Packet.of_spec ~id (spec ~src:0 ~dst ());
+          received = 2.0;
+          hops = 0;
+        })
+    [ (5, 1); (6, 2) ];
+  let victim st =
+    let incoming = Packet.of_spec ~id:7 (spec ~src:0 ~dst:3 ()) in
+    match P.drop_candidate st ~now:2.0 ~node:0 ~incoming with
+    | Some p -> p.Packet.id
+    | None -> Alcotest.fail "no victim"
+  in
+  Alcotest.(check int) "never-met node evicts the smaller id" 5
+    (victim (P.create env));
+  Alcotest.(check int) "rebooted node ranks like a never-met one" 5 (victim st)
+
 (* ------------------------------------------------------------------ *)
 (* Spray tickets across duplicate meetings *)
 
@@ -626,6 +668,8 @@ let () =
           Alcotest.test_case "metadata charged" `Quick test_maxprop_metadata_charged;
           Alcotest.test_case "no acks without delivery" `Quick
             test_maxprop_no_acks_without_delivery;
+          Alcotest.test_case "reboot forgets costs" `Quick
+            test_maxprop_reboot_forgets_costs;
         ] );
       ( "random",
         [ Alcotest.test_case "acks reduce waste" `Slow test_random_acks_reduce_waste ] );
