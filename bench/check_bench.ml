@@ -204,7 +204,10 @@ let () =
       match timer name with
       | Some (total, n) -> Printf.printf "timer %-26s %.3fs / %d\n" name total n
       | None -> fail "missing timer \"%s\" (total_s/count)" name)
-    [ "meeting_matrix.row_build"; "rapid.rank"; "lp.solve" ];
+    [
+      "meeting_matrix.row_build"; "rapid.rank"; "rapid.refresh"; "rapid.gossip";
+      "rapid.index_sync"; "lp.solve";
+    ];
   (* GC stats of the artifact reproductions: allocation-flattening work is
      validated through these when wall clocks are too noisy. *)
   (match Json.member "gc" doc with

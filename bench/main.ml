@@ -256,9 +256,9 @@ let microbenchmarks () =
       done
     in
     let q = Send_queue.create () in
-    (* Exercises the per-contact hot loop end to end: rank the sender's
-       buffer through the shared sort arena, then drain the cursor with
-       one [next] call per packet, each checking its pop. *)
+    (* Exercises the per-contact hot loop end to end: heapify the
+       sender's buffer into the direction's arena, then pop all of it
+       with one [next] call per packet, each checking its pop. *)
     Test.make ~name:"send-queue plan+serve (64-packet contact)"
       (Staged.stage (fun () ->
            Send_queue.begin_contact q;

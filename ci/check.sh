@@ -163,6 +163,17 @@ if ! ./_build/default/perfbench/benchmark.exe --workload trace-faulted \
   exit 1
 fi
 
+# One short trace-heavy run: its 16 seed-42 digests pin the unlimited-
+# storage plans at benchmark scale (every buffer ranked at every contact,
+# each plan's heaps popped only as far as the contact ships).
+echo "== perfbench trace-heavy smoke =="
+if ! ./_build/default/perfbench/benchmark.exe --workload trace-heavy \
+  --seed 42 --seconds 1 > "$PERF_OUT"; then
+  tail -n 5 "$PERF_OUT" >&2
+  echo "perfbench trace-heavy run failed" >&2
+  exit 1
+fi
+
 # One short powerlaw-buffered run: its seed-42 digests are the only check
 # of RAPID's eviction at benchmark scale (13,011 drop_candidate calls per
 # pass, each re-summing Eq. 9 over the replica DB for every buffered

@@ -53,11 +53,51 @@ let[@inline] delivery_prob_within ~rate ~horizon =
 (* Hot-path counters (process-global by name; see lib/obs). Snapshots land
    in the CLI's --json output and in BENCH.json. *)
 let c_rank_calls = Rapid_obs.Counter.create "rapid.rank_calls"
+
+(* Layer timers: [plan], [refresh_own], the metadata delta (one span per
+   direction) and position-index syncs, which nest inside the first two. *)
 let t_rank = Rapid_obs.Timer.create "rapid.rank"
+let t_refresh = Rapid_obs.Timer.create "rapid.refresh"
+let t_gossip = Rapid_obs.Timer.create "rapid.gossip"
+let t_index_sync = Rapid_obs.Timer.create "rapid.index_sync"
 let c_position_index_builds = Rapid_obs.Counter.create "rapid.position_index_builds"
 let c_meta_ack_bytes = Rapid_obs.Counter.create "rapid.meta_ack_bytes"
 let c_meta_table_bytes = Rapid_obs.Counter.create "rapid.meta_table_bytes"
 let c_meta_entry_bytes = Rapid_obs.Counter.create "rapid.meta_entry_bytes"
+
+(* One direction's scored candidates and their ranking keys, in parallel
+   reused arrays (no boxed pairs). A contact's two directions use two
+   slots: the queue reads the first's keys while the second is scored. *)
+type slot = {
+  mutable pkts : Packet.t array;
+  mutable keys : float array;
+  mutable len : int;
+}
+
+let[@inline] slot_push s p key =
+  let cap = Array.length s.keys in
+  if s.len = cap then begin
+    let n = max 64 (2 * cap) in
+    let pk = Array.make n p in
+    Array.blit s.pkts 0 pk 0 s.len;
+    s.pkts <- pk;
+    let kk = Array.make n 0.0 in
+    Array.blit s.keys 0 kk 0 s.len;
+    s.keys <- kk
+  end;
+  s.pkts.(s.len) <- p;
+  s.keys.(s.len) <- key;
+  s.len <- s.len + 1
+
+(* Key descending, id ascending: the order every metric ranks by; a
+   two-argument closure, so a heap comparison is no partial application. *)
+let by_key s =
+  let cmp i j =
+    match Float.compare s.keys.(j) s.keys.(i) with
+    | 0 -> Int.compare s.pkts.(i).Packet.id s.pkts.(j).Packet.id
+    | n -> n
+  in
+  cmp
 
 let make params : Protocol.packed =
   (* Hoisted: passing [~h:params.h_hops] to [Meeting_matrix]'s optional
@@ -66,7 +106,7 @@ let make params : Protocol.packed =
   (module struct
     type t = {
       env : Env.t;
-      queue : Send_queue.t;
+      queue : int Send_queue.t;
       acks : Protocol.Ack_store.t;
       matrix : Meeting_matrix.t;
       (* Expected transfer-opportunity bytes per pair and globally
@@ -90,9 +130,10 @@ let make params : Protocol.packed =
          the "expected meeting times with nodes" row delta (§4.2). *)
       meet_count : int array;
       last_table_sync : Dense.Int_mat.t;
-      (* Per-node buffer positions, rebuilt when the buffer's epoch moved.
-         [plan] syncs the receiver's; [on_transfer] reads it unsynced, so
-         a contact's transfers see the positions its plan ranked by. *)
+      (* Per-node buffer positions, merged when the buffer's epoch moved
+         (one shared stamp scratch). [plan] syncs the receiver's;
+         [on_transfer] reads it unsynced, so a contact's transfers see the
+         positions its plan ranked by. *)
       pos : Position_index.t array;
       (* One-slot float results: [believed_rate] writes [rate.(0)],
          [local_loss] writes [loss.(0)], and
@@ -104,14 +145,8 @@ let make params : Protocol.packed =
       best : float array;
       (* Scratch: (packet, new n_meet) pairs a refresh must write. *)
       refresh_changed : (Packet.t * int) Sortbuf.t;
-      (* Flat per-plan scoring scratch: candidate packets and their
-         ranking key in parallel growable arrays, ranked by sorting an
-         index permutation through the shared Sortbuf arena — no boxed
-         (packet, float, float) tuples, no per-plan list churn. *)
-      mutable plan_pkts : Packet.t array;
-      mutable plan_key : float array;
-      mutable plan_len : int;
-      plan_order : int Sortbuf.t;
+      (* Per-direction scoring slots; the queue's items index them. *)
+      slots : slot array;
     }
 
     let name =
@@ -137,15 +172,14 @@ let make params : Protocol.packed =
         gossip = Gossip.create ~num_nodes:n;
         meet_count = Array.make n 0;
         last_table_sync = Dense.Int_mat.create n;
-        pos = Array.init n (fun _ -> Position_index.create ());
+        pos =
+          (let shared = Position_index.scratch () in
+           Array.init n (fun _ -> Position_index.create shared));
         rate = [| 0.0 |];
         loss = [| 0.0 |];
         best = [| 0.0 |];
         refresh_changed = Sortbuf.create ();
-        plan_pkts = [||];
-        plan_key = [||];
-        plan_len = 0;
-        plan_order = Sortbuf.create ();
+        slots = Array.init 2 (fun _ -> { pkts = [||]; keys = [||]; len = 0 });
       }
 
     (* -------------------------------------------------------------- *)
@@ -230,11 +264,13 @@ let make params : Protocol.packed =
         t.rate.(0) <- !r
       end
 
-    (* Rebuild [node]'s position index if its buffer moved since the last
-       sync; [c_position_index_builds] counts the rebuilds. *)
+    (* Merge [node]'s position index if its buffer moved since the last
+       sync; [c_position_index_builds] counts the merges. *)
     let sync_index t node =
-      if Position_index.sync t.pos.(node) t.env.Env.buffers.(node) then
-        Rapid_obs.Counter.incr c_position_index_builds
+      if
+        Rapid_obs.Timer.time t_index_sync (fun () ->
+            Position_index.sync t.pos.(node) t.env.Env.buffers.(node))
+      then Rapid_obs.Counter.incr c_position_index_builds
 
     let n_meet_from_index t ~node (packet : Packet.t) =
       let b = Position_index.bytes_before t.pos.(node) packet in
@@ -263,7 +299,7 @@ let make params : Protocol.packed =
     (* Selection: one send-queue plan per direction *)
 
     (* Direct-delivery segment of a plan; every comparator is a total
-       order (id tie-breaks) because the scratch sort is not stable. *)
+       order (id tie-breaks) because the queue's heaps are not stable. *)
     let push_direct t ~now entries =
       match params.metric with
       | Metric.Average_delay | Metric.Maximum_delay ->
@@ -289,37 +325,21 @@ let make params : Protocol.packed =
           Send_queue.push_entries t.queue ~cmp:by_deadline alive;
           Send_queue.push_entries t.queue ~cmp:Send_queue.by_age dead
 
-    let[@inline] plan_push t p key =
-      let cap = Array.length t.plan_key in
-      if t.plan_len = cap then begin
-        let n = max 64 (2 * cap) in
-        let pk = Array.make n p in
-        Array.blit t.plan_pkts 0 pk 0 t.plan_len;
-        t.plan_pkts <- pk;
-        let kk = Array.make n 0.0 in
-        Array.blit t.plan_key 0 kk 0 t.plan_len;
-        t.plan_key <- kk
-      end;
-      t.plan_pkts.(t.plan_len) <- p;
-      t.plan_key.(t.plan_len) <- key;
-      t.plan_len <- t.plan_len + 1
-
-    let plan t ~now ~sender ~receiver =
+    let plan t ~now ~slot ~sender ~receiver =
       Rapid_obs.Counter.incr c_rank_calls;
       Rapid_obs.Timer.time t_rank @@ fun () ->
       Send_queue.begin_plan t.queue t.env ~sender ~receiver;
       sync_index t receiver;
-      t.plan_len <- 0;
+      slot.len <- 0;
       (* One slot-order walk over the sender's buffer — no materialized
          candidate / direct / rest lists. Sound because every downstream
          order is a total-order sort (id tie-breaks everywhere), so the
          walk order never shows in the output. Direct-to-receiver packets
          are collected aside (few); every other candidate the receiver
-         lacks is scored straight into the flat arrays: one slot per
-         shippable candidate, keyed by marginal utility per byte (metrics
-         1/3') or expected delay D(i) (metric 2) — the only value the
-         ranking below reads. Both orders are "key descending, id
-         ascending", so one comparator serves every metric. *)
+         lacks is scored straight into the direction's slot, keyed by
+         marginal utility per byte (metrics 1/3') or expected delay D(i)
+         (metric 2) — the only value the ranking reads. Both orders are
+         "key descending, id ascending" ([by_key]). *)
       let direct =
         Buffer.fold_unordered t.env.Env.buffers.(sender) ~init:[]
           ~f:(fun direct (e : Buffer.entry) ->
@@ -388,27 +408,21 @@ let make params : Protocol.packed =
                         let a = expected_delay ~rate:r in
                         (now -. p.Packet.created) +. Float.min a big_delay
                   in
-                  plan_push t p key
+                  slot_push slot p key
                 end
               end;
               direct
             end)
       in
       push_direct t ~now direct;
-      (* Rank an index permutation through the shared arena; key and id
-         make the order total, so the (unstable) heapsort reproduces the
-         stable sort it replaces byte for byte. *)
-      let order = t.plan_order in
-      Sortbuf.clear order;
-      for i = 0 to t.plan_len - 1 do
-        Sortbuf.push order i
-      done;
-      let key = t.plan_key and pkts = t.plan_pkts in
-      Sortbuf.sort order ~cmp:(fun i j ->
-          match Float.compare key.(j) key.(i) with
-          | 0 -> Int.compare pkts.(i).Packet.id pkts.(j).Packet.id
-          | n -> n);
-      Sortbuf.iteri order (fun _ i -> Send_queue.push t.queue pkts.(i));
+      (* The slot's indexes, popped in key order as the contact ships
+         them; key and id make the order total. *)
+      Send_queue.push_items t.queue ~cmp:(by_key slot)
+        ~packet:(fun i -> slot.pkts.(i))
+        (fun add ->
+          for i = 0 to slot.len - 1 do
+            add i
+          done);
       Send_queue.finish_plan t.queue
 
     (* -------------------------------------------------------------- *)
@@ -419,6 +433,7 @@ let make params : Protocol.packed =
          entry changed when the estimate moved — "the node only sends
          information about packets whose information changed since the
          last exchange" (§4.2). *)
+      Rapid_obs.Timer.time t_refresh @@ fun () ->
       sync_index t node;
       let db = t.dbs.(node) in
       let changed = t.refresh_changed in
@@ -564,6 +579,7 @@ let make params : Protocol.packed =
               | Control_channel.Local_only -> Some t.env.Env.buffers.(sender)
               | Control_channel.In_band | Control_channel.Instant_global -> None
             in
+            Rapid_obs.Timer.time t_gossip @@ fun () ->
             Gossip.send t.gossip ~now ~sender ~receiver ~src:t.dbs.(sender)
               ~dst:t.dbs.(receiver) ~only ~budget
           in
@@ -576,8 +592,8 @@ let make params : Protocol.packed =
           bytes := !bytes + entry_bytes;
           Rapid_obs.Counter.add c_meta_entry_bytes entry_bytes;
           trace_meta "entries" entry_bytes);
-      plan t ~now ~sender:a ~receiver:b;
-      plan t ~now ~sender:b ~receiver:a;
+      plan t ~now ~slot:t.slots.(0) ~sender:a ~receiver:b;
+      plan t ~now ~slot:t.slots.(1) ~sender:b ~receiver:a;
       !bytes
 
     let next_packet t ~now:_ ~sender ~receiver ~budget =

@@ -1,10 +1,10 @@
 (** Reusable push-then-sort arena.
 
     The per-contact hot paths collect a batch of items, sort it, and
-    consume it in order (RAPID's per-node position indexes, plan ranking
-    and refresh stamps, send-queue segments), or order only the prefix
-    they consume with {!select} (the metadata delta, whose tail is
-    deferred unordered).
+    consume it in order (RAPID's refresh stamps, a position index's
+    arrivals), order only the prefix they consume with {!select} (the
+    metadata delta, whose tail is deferred unordered), or heapify it and
+    {!pop} on demand (send-queue segments).
     [List.sort] / [Array.of_list] allocate a fresh intermediate per
     batch; a [Sortbuf.t] owned by the caller amortizes that to zero once
     the high-water mark is reached: [clear], [push] each item, [sort],
@@ -35,5 +35,15 @@ val select : 'a t -> cmp:('a -> 'a -> int) -> int -> unit
     produce when [cmp] is a total order — and leaves the remaining
     elements in slots [k..length-1] in an unspecified deterministic
     order. O(len·log k) instead of O(len·log len). *)
+
+val heapify : 'a t -> cmp:('a -> 'a -> int) -> lo:int -> hi:int -> unit
+(** Arrange slots [lo..hi-1] as a max-heap under [cmp] in O(hi - lo):
+    slot [lo] holds the greatest. Pass a reversed order to pop the
+    smallest first. *)
+
+val pop : 'a t -> cmp:('a -> 'a -> int) -> lo:int -> hi:int -> 'a
+(** Remove and return the root of the non-empty heap {!heapify} built in
+    [lo..hi-1] under the same [cmp]; the rest stays a heap in [lo..hi-2].
+    O(log (hi - lo)). *)
 
 val iteri : 'a t -> (int -> 'a -> unit) -> unit

@@ -2,7 +2,7 @@ open Rapid_sim
 
 let make () : Protocol.packed =
   (module struct
-    type t = { env : Env.t; queue : Send_queue.t }
+    type t = { env : Env.t; queue : unit Send_queue.t }
 
     let name = "Epidemic"
     let create env = { env; queue = Send_queue.create () }

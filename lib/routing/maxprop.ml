@@ -5,7 +5,7 @@ let make ?(ack_entry_bytes = 8) ?(vector_entry_bytes = 12) () : Protocol.packed 
   (module struct
     type t = {
       env : Env.t;
-      queue : Send_queue.t;
+      queue : unit Send_queue.t;
       acks : Protocol.Ack_store.t;
       (* own.(x): x's meeting-likelihood vector over all nodes. *)
       own : float array array;

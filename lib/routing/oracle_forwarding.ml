@@ -3,7 +3,7 @@ open Rapid_sim
 
 let make ~trace () : Protocol.packed =
   (module struct
-    type t = { env : Env.t; queue : Send_queue.t }
+    type t = { env : Env.t; queue : (Packet.t * float) Send_queue.t }
 
     let name = "OracleForwarding"
     let create env = { env; queue = Send_queue.create () }
@@ -30,6 +30,12 @@ let make ~trace () : Protocol.packed =
         trace.Trace.contacts;
       reach.(dst)
 
+    (* Earliest estimated arrival first, the smaller id breaking ties. *)
+    let by_eta ((pa : Packet.t), a) ((pb : Packet.t), b) =
+      match Float.compare a b with
+      | 0 -> Int.compare pa.Packet.id pb.Packet.id
+      | n -> n
+
     let plan t ~now ~sender ~receiver =
       Send_queue.begin_plan t.queue t.env ~sender ~receiver;
       let candidates = Send_queue.candidates t.env ~sender ~receiver in
@@ -39,27 +45,19 @@ let make ~trace () : Protocol.packed =
          estimate: the receiver (who has the packet from this instant) can
          deliver sooner than the sender could by keeping it past this
          contact. *)
-      let forwardable =
-        List.filter_map
-          (fun (e : Buffer.entry) ->
-            let p = e.packet in
-            let dst = p.Packet.dst and size = p.Packet.size in
-            let via_receiver = earliest_delivery ~now ~node:receiver ~dst ~size in
-            let keeping =
-              earliest_delivery ~now:(now +. 1e-9) ~node:sender ~dst ~size
-            in
-            if via_receiver < keeping then Some (p, via_receiver) else None)
-          rest
-      in
-      let ordered =
-        List.sort
-          (fun ((pa : Packet.t), a) ((pb : Packet.t), b) ->
-            match Float.compare a b with
-            | 0 -> Int.compare pa.Packet.id pb.Packet.id
-            | n -> n)
-          forwardable
-      in
-      List.iter (fun (p, _) -> Send_queue.push t.queue p) ordered;
+      Send_queue.push_items t.queue ~cmp:by_eta ~packet:fst (fun add ->
+          List.iter
+            (fun (e : Buffer.entry) ->
+              let p = e.packet in
+              let dst = p.Packet.dst and size = p.Packet.size in
+              let via_receiver =
+                earliest_delivery ~now ~node:receiver ~dst ~size
+              in
+              let keeping =
+                earliest_delivery ~now:(now +. 1e-9) ~node:sender ~dst ~size
+              in
+              if via_receiver < keeping then add (p, via_receiver))
+            rest);
       Send_queue.finish_plan t.queue
 
     let on_contact t { Protocol.now; a; b; _ } =

@@ -25,7 +25,7 @@ let make ?(p_init = 0.75) ?(beta = 0.25) ?(gamma = 0.98) ?(time_unit = 30.0)
   (module struct
     type t = {
       env : Env.t;
-      queue : Send_queue.t;
+      queue : unit Send_queue.t;
       p : float array array;  (* p.(a).(b): a's predictability of meeting b *)
       last_aged : float array;
     }

@@ -6,7 +6,7 @@ let make ?(with_acks = false) ?(summary_vector = false) ?(ack_entry_bytes = 8)
   (module struct
     type t = {
       env : Env.t;
-      queue : Send_queue.t;
+      queue : unit Send_queue.t;
       acks : Protocol.Ack_store.t;
     }
 

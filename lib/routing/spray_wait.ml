@@ -5,7 +5,7 @@ let make ?(l = 12) () : Protocol.packed =
   (module struct
     type t = {
       env : Env.t;
-      queue : Send_queue.t;
+      queue : (int * Buffer.entry) Send_queue.t;
       (* packet id * num_nodes + node -> remaining logical copies at that
          node (flat int key: no tuple boxing on the per-entry plan scan). *)
       tokens : (int, int) Hashtbl.t;
@@ -24,30 +24,27 @@ let make ?(l = 12) () : Protocol.packed =
     let on_created t ~now:_ (p : Packet.t) =
       Hashtbl.replace t.tokens (key t ~node:p.Packet.src ~packet_id:p.Packet.id) l
 
+    (* Most copies first spreads widest fastest; ties oldest-first:
+       (tokens desc, created, id) is a total order. *)
+    let by_tokens (ta, (a : Buffer.entry)) (tb, (b : Buffer.entry)) =
+      match Int.compare tb ta with 0 -> Send_queue.by_age a b | n -> n
+
     let plan t ~sender ~receiver =
       Send_queue.begin_plan t.queue t.env ~sender ~receiver;
       let candidates = Send_queue.candidates t.env ~sender ~receiver in
       let direct, rest = Protocol.split_direct ~receiver candidates in
+      Send_queue.push_entries t.queue ~cmp:Send_queue.by_age direct;
       (* Spray phase requires more than one logical copy in hand. The
          token count is looked up once per entry here (decorate), never
-         inside the sort comparator. *)
-      let sprayable =
-        List.filter_map
-          (fun (e : Buffer.entry) ->
-            let n = tokens_of t ~node:sender ~packet_id:e.packet.Packet.id in
-            if n > 1 then Some (n, e) else None)
-          rest
-      in
-      Send_queue.push_entries t.queue ~cmp:Send_queue.by_age direct;
-      (* Most copies first spreads widest fastest; ties oldest-first —
-         (tokens desc, created, id) is a total order, so the unstable
-         array sort is deterministic. *)
-      let arr = Array.of_list sprayable in
-      Array.sort
-        (fun (ta, (a : Buffer.entry)) (tb, (b : Buffer.entry)) ->
-          match Int.compare tb ta with 0 -> Send_queue.by_age a b | n -> n)
-        arr;
-      Array.iter (fun (_, (e : Buffer.entry)) -> Send_queue.push t.queue e.packet) arr;
+         by the comparator: an eviction changes it mid-contact. *)
+      Send_queue.push_items t.queue ~cmp:by_tokens
+        ~packet:(fun (_, (e : Buffer.entry)) -> e.packet)
+        (fun add ->
+          List.iter
+            (fun (e : Buffer.entry) ->
+              let n = tokens_of t ~node:sender ~packet_id:e.packet.Packet.id in
+              if n > 1 then add (n, e))
+            rest);
       Send_queue.finish_plan t.queue
 
     let on_contact t { Protocol.a; b; _ } =

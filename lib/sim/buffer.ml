@@ -1,6 +1,6 @@
 type entry = { packet : Packet.t; received : float; hops : int }
 
-(* Counts id-order sorts served by [entries], across all buffers
+(* Counts id-order walks served by [entries], across all buffers
    (BENCH.json). *)
 let c_rebuilds = Rapid_obs.Counter.create "buffer.rebuilds"
 
@@ -11,7 +11,8 @@ let c_rebuilds = Rapid_obs.Counter.create "buffer.rebuilds"
 
    [epoch] moves on every mutation and versions caches built from the
    contents (RAPID's position indexes). [ids] is [nth_by_id]'s selection
-   scratch, reused call to call. *)
+   scratch; [radix_a], [radix_b] and [counts] are [entries]' radix-sort
+   scratch; all are reused call to call. *)
 type t = {
   capacity : int option;
   mutable used : int;
@@ -20,6 +21,9 @@ type t = {
   slots : (int, int) Hashtbl.t;
   mutable epoch : int;
   mutable ids : int array;
+  mutable radix_a : entry array;
+  mutable radix_b : entry array;
+  mutable counts : int array;
   (* Live bytes per destination, maintained at add/remove/clear so
      per-destination queue totals are O(1) instead of a buffer scan. *)
   dst_bytes : (int, int) Hashtbl.t;
@@ -37,6 +41,9 @@ let create ~capacity =
     slots = Hashtbl.create 64;
     epoch = 0;
     ids = [||];
+    radix_a = [||];
+    radix_b = [||];
+    counts = [||];
     dst_bytes = Hashtbl.create 16;
   }
 
@@ -62,6 +69,7 @@ let add_dst_bytes t dst delta =
 
 let add t entry =
   let id = entry.packet.Packet.id in
+  if id < 0 then invalid_arg "Buffer.add: negative packet id";
   if mem t id then invalid_arg "Buffer.add: duplicate packet";
   if not (would_fit t entry.packet.Packet.size) then
     invalid_arg "Buffer.add: over capacity";
@@ -112,20 +120,51 @@ let clear t =
     !lost
   end
 
-let cmp_id a b = Int.compare a.packet.Packet.id b.packet.Packet.id
-
-let entries t =
-  Rapid_obs.Counter.incr c_rebuilds;
-  let sorted = Array.sub t.arr 0 t.len in
-  Array.sort cmp_id sorted;
-  Array.to_list sorted
-
 let fold_unordered t ~init ~f =
   let acc = ref init in
   for slot = 0 to t.len - 1 do
     acc := f !acc t.arr.(slot)
   done;
   !acc
+
+(* LSD radix sort on the packet id, 8 bits a pass, as many passes as the
+   largest id has bytes: each pass is a stable counting sort from [src]
+   into the other scratch array (the first reads the slot array). Ids are
+   distinct and non-negative, so the result is the id order. *)
+let entries t =
+  Rapid_obs.Counter.incr c_rebuilds;
+  let n = t.len in
+  if Array.length t.radix_a < n then begin
+    t.radix_a <- Array.make (Array.length t.arr) t.arr.(0);
+    t.radix_b <- Array.copy t.radix_a;
+    t.counts <- Array.make 256 0
+  end;
+  let max_id = fold_unordered t ~init:0 ~f:(fun m e -> Int.max m e.packet.Packet.id) in
+  let src = ref t.arr and shift = ref 0 and counts = t.counts in
+  while max_id lsr !shift > 0 do
+    let a = !src and sh = !shift in
+    let b = if a == t.radix_a then t.radix_b else t.radix_a in
+    Array.fill counts 0 256 0;
+    for i = 0 to n - 1 do
+      let d = (a.(i).packet.Packet.id lsr sh) land 255 in
+      counts.(d) <- counts.(d) + 1
+    done;
+    for d = 1 to 255 do
+      counts.(d) <- counts.(d) + counts.(d - 1)
+    done;
+    for i = n - 1 downto 0 do
+      let d = (a.(i).packet.Packet.id lsr sh) land 255 in
+      counts.(d) <- counts.(d) - 1;
+      b.(counts.(d)) <- a.(i)
+    done;
+    src := b;
+    shift := sh + 8
+  done;
+  let l = ref [] in
+  for i = n - 1 downto 0 do
+    l := !src.(i) :: !l
+  done;
+  !l
 
 (* Quickselect (Hoare partition, middle pivot) over a copy of the live
    ids; ids are distinct, so the k-th smallest is unique. *)

@@ -10,8 +10,9 @@
     slot order: deterministic for a given mutation history, but not id
     order, so a caller whose result depends on the walk order must sort
     by a total order afterwards or break ties on packet id. Id order is
-    available on demand: {!entries} sorts the whole buffer per call and
-    {!nth_by_id} selects one rank without sorting. *)
+    available on demand: {!entries} radix-sorts the whole buffer by id per
+    call and {!nth_by_id} selects one rank without sorting. Packet ids are
+    distinct and non-negative. *)
 
 type entry = {
   packet : Packet.t;
@@ -47,8 +48,8 @@ val dst_bytes : t -> int -> int
     packet of a destination reads this instead of scanning the buffer. *)
 
 val add : t -> entry -> unit
-(** Raises [Invalid_argument] if the entry does not fit or is a duplicate.
-    Callers must check [would_fit] / [mem] first. *)
+(** Raises [Invalid_argument] if the entry does not fit, is a duplicate
+    or has a negative id. Callers must check [would_fit] / [mem] first. *)
 
 val remove : t -> int -> entry option
 (** Remove by packet id; [None] if absent. *)
@@ -64,9 +65,9 @@ val fold_unordered : t -> init:'a -> f:('a -> entry -> 'a) -> 'a
     mutation history, but not packet-id order. *)
 
 val entries : t -> entry list
-(** A fresh list sorted by packet id, sorted on demand on every call
-    (counted by [buffer.rebuilds]). Only for callers that need id order,
-    e.g. a shuffle whose result depends on its input order. *)
+(** A fresh list sorted by packet id, radix-sorted on demand on every
+    call (counted by [buffer.rebuilds]). Only for callers that need id
+    order, e.g. a shuffle whose result depends on its input order. *)
 
 val nth_by_id : t -> int -> entry
 (** [nth_by_id t k] is the entry with the [k]-th smallest packet id

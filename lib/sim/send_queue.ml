@@ -7,27 +7,30 @@ let by_age (x : Buffer.entry) (y : Buffer.entry) =
   | 0 -> Int.compare x.packet.Packet.id y.packet.Packet.id
   | n -> n
 
-(* One planned direction. [packets.(cursor..len-1)] is the tail still to
-   offer; slots before [cursor] were served or discarded for good (old
-   packets are never re-offered within a contact, which also covers
-   storage refusals, and the byte budget only shrinks, so a packet too
-   big now never fits later). Nothing tracks what happened to the tail
-   since the plan: every pop checks the packet it is about to serve. *)
-type dir = {
+(* A segment: [left] items not yet offered, [pop] takes the next in its
+   order (a FIFO run of plain pushes, or a heap in an arena). *)
+type seg = { fifo : bool; mutable left : int; pop : unit -> Packet.t }
+
+(* One planned direction: arenas for plain pushes, entry segments and
+   decorated items, reused from contact to contact; the segments left to
+   serve, in push order (reversed while planning); the smallest packet
+   planned. *)
+type 'a dir = {
   mutable sender : int;
   mutable receiver : int;
   mutable check_peer : bool;
   mutable sender_buf : Buffer.t;
-  mutable packets : Packet.t array;
-  mutable len : int;
-  mutable cursor : int;
+  pkts : Packet.t Sortbuf.t;
+  ents : Buffer.entry Sortbuf.t;
+  items : 'a Sortbuf.t;
+  mutable segs : seg list;
+  mutable min_size : int;
   mutable planned : bool;
 }
 
-type t = {
-  dirs : dir array;
+type 'a t = {
+  dirs : 'a dir array;
   mutable current : int;  (* dir being planned, -1 outside begin/finish *)
-  scratch : Buffer.entry Sortbuf.t;
 }
 
 let make_dir () =
@@ -36,14 +39,15 @@ let make_dir () =
     receiver = -1;
     check_peer = true;
     sender_buf = Buffer.create ~capacity:None;
-    packets = [||];
-    len = 0;
-    cursor = 0;
+    pkts = Sortbuf.create ();
+    ents = Sortbuf.create ();
+    items = Sortbuf.create ();
+    segs = [];
+    min_size = max_int;
     planned = false;
   }
 
-let create () =
-  { dirs = [| make_dir (); make_dir () |]; current = -1; scratch = Sortbuf.create () }
+let create () = { dirs = [| make_dir (); make_dir () |]; current = -1 }
 
 let begin_contact t =
   t.dirs.(0).planned <- false;
@@ -57,43 +61,75 @@ let begin_plan ?(check_peer = true) t (env : Env.t) ~sender ~receiver =
   d.receiver <- receiver;
   d.check_peer <- check_peer;
   d.sender_buf <- env.Env.buffers.(sender);
-  d.len <- 0;
-  d.cursor <- 0;
+  Sortbuf.clear d.pkts;
+  Sortbuf.clear d.ents;
+  Sortbuf.clear d.items;
+  d.segs <- [];
+  d.min_size <- max_int;
   t.current <- slot
 
 let current_dir t =
   if t.current < 0 then invalid_arg "Send_queue: no plan in progress";
   t.dirs.(t.current)
 
+let note_size d (p : Packet.t) = d.min_size <- Int.min d.min_size p.Packet.size
+
 let push t (p : Packet.t) =
   let d = current_dir t in
-  let cap = Array.length d.packets in
-  if d.len = cap then begin
-    let grown = Array.make (max 16 (2 * cap)) p in
-    Array.blit d.packets 0 grown 0 d.len;
-    d.packets <- grown
-  end;
-  d.packets.(d.len) <- p;
-  d.len <- d.len + 1
+  (match d.segs with
+  | s :: _ when s.fifo -> s.left <- s.left + 1
+  | _ ->
+      let next = ref (Sortbuf.length d.pkts) in
+      let pop () =
+        incr next;
+        Sortbuf.get d.pkts (!next - 1)
+      in
+      d.segs <- { fifo = true; left = 1; pop } :: d.segs);
+  Sortbuf.push d.pkts p;
+  note_size d p
 
-(* Sort a segment with the shared scratch and append it. [cmp] must be a
-   total order (the arena's heapsort is not stable; every protocol breaks
-   ties on packet id). *)
+(* Append [add]'s items to [arena] as one heap segment, popped smallest
+   first: Sortbuf's heaps keep the greatest at the root, so under the
+   reversed comparator. *)
+let push_heap d arena ~cmp ~packet add =
+  let lo = Sortbuf.length arena in
+  add ();
+  let hi = ref (Sortbuf.length arena) in
+  if !hi > lo then begin
+    let cmp x y = cmp y x in
+    Sortbuf.heapify arena ~cmp ~lo ~hi:!hi;
+    let pop () =
+      decr hi;
+      packet (Sortbuf.pop arena ~cmp ~lo ~hi:(!hi + 1))
+    in
+    d.segs <- { fifo = false; left = !hi - lo; pop } :: d.segs
+  end
+
 let push_entries t ~cmp entries =
-  let buf = t.scratch in
-  Sortbuf.clear buf;
-  List.iter (fun (e : Buffer.entry) -> Sortbuf.push buf e) entries;
-  Sortbuf.sort buf ~cmp;
-  Sortbuf.iteri buf (fun _ (e : Buffer.entry) -> push t e.Buffer.packet)
+  let d = current_dir t in
+  push_heap d d.ents ~cmp ~packet:(fun (e : Buffer.entry) -> e.packet) (fun () ->
+      List.iter
+        (fun (e : Buffer.entry) ->
+          Sortbuf.push d.ents e;
+          note_size d e.packet)
+        entries)
+
+let push_items t ~cmp ~packet iter =
+  let d = current_dir t in
+  push_heap d d.items ~cmp ~packet (fun () ->
+      iter (fun x ->
+          Sortbuf.push d.items x;
+          note_size d (packet x)))
 
 let finish_plan t =
   let d = current_dir t in
+  d.segs <- List.rev d.segs;
   d.planned <- true;
   t.current <- -1;
   Rapid_obs.Counter.incr c_plans
 
 let find_dir t ~sender ~receiver =
-  let matches (d : dir) =
+  let matches (d : _ dir) =
     d.planned && d.sender = sender && d.receiver = receiver
   in
   if matches t.dirs.(0) then Some t.dirs.(0)
@@ -106,15 +142,25 @@ let next t (env : Env.t) ~sender ~receiver ~budget =
   match find_dir t ~sender ~receiver with
   | None -> None
   | Some d ->
-      let served = ref None in
-      while Option.is_none !served && d.cursor < d.len do
-        let p = d.packets.(d.cursor) in
-        d.cursor <- d.cursor + 1;
-        if
-          p.Packet.size <= budget
-          && Buffer.mem d.sender_buf p.Packet.id
-          && not (d.check_peer && Env.has_packet env ~node:d.receiver ~packet:p)
-        then served := Some p
+      (* Every packet left is bigger than the budget, which only shrinks
+         within a contact: each would be discarded for good. *)
+      if budget < d.min_size then d.segs <- [];
+      let served = ref None and more = ref true in
+      while !more do
+        match d.segs with
+        | [] -> more := false
+        | s :: rest when s.left = 0 -> d.segs <- rest
+        | s :: _ ->
+            s.left <- s.left - 1;
+            let p = s.pop () in
+            if
+              p.Packet.size <= budget
+              && Buffer.mem d.sender_buf p.Packet.id
+              && not (d.check_peer && Env.has_packet env ~node:d.receiver ~packet:p)
+            then begin
+              served := Some p;
+              more := false
+            end
       done;
       !served
 

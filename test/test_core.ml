@@ -927,58 +927,80 @@ let prop_more_holders_never_slower =
           <= Rapid.expected_delay ~rate:(rate rest))
 
 let prop_position_index_matches_scan =
-  (* RAPID's position index against Estimate_delay's reference scan:
-     after any add/remove/clear history, every packet of the pool,
-     buffered or not, sits behind exactly the bytes the scan counts (with
-     B = 1 the scan's n_meet is those bytes plus the packet's size). The
-     pool has few creation times, so ties must fall back to ids. *)
+  (* RAPID's position indexes against Estimate_delay's reference scan.
+     Two buffers' indexes share one scratch, as all of one RAPID
+     instance's do, and are synced in random interleaved order after 0, 1,
+     a few or 50 mutations (adds, removals, clears, and an id removed and
+     re-added between syncs). Every packet of the pool, buffered or not,
+     must then sit behind exactly the bytes the scan counts (with B = 1
+     the scan's n_meet is those bytes plus the packet's size). Ids are
+     sparse and large, so syncs grow the shared stamp array; the pool has
+     few creation times, so ties must fall back to ids. *)
   QCheck.Test.make ~name:"position index = reference scan" ~count:200
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let module Rng = Rapid_prelude.Rng in
       let rng = Rng.create seed in
       let pool =
-        Array.init 40 (fun id ->
+        Array.init 40 (fun k ->
             let dst = Rng.int rng 4 and size = 1 + Rng.int rng 50 in
-            packet ~id ~src:4 ~dst ~size
+            packet ~id:((k * 5_003) + Rng.int rng 5_000) ~src:4 ~dst ~size
               ~created:(float_of_int (Rng.int rng 8))
               ())
       in
-      let buffer = Buffer.create ~capacity:None in
-      let index = Position_index.create () in
-      let synced = ref (-1) in
+      let shared = Position_index.scratch () in
+      let sides =
+        Array.init 2 (fun _ ->
+            (Buffer.create ~capacity:None, Position_index.create shared, ref (-1)))
+      in
       let ok = ref true in
       let expect b = if not b then ok := false in
-      for _ = 1 to 120 do
+      let check (buffer, index, synced) =
+        let moved = Buffer.epoch buffer <> !synced in
+        expect (Position_index.sync index buffer = moved);
+        synced := Buffer.epoch buffer;
+        expect (not (Position_index.sync index buffer));
+        let entries =
+          Buffer.fold_unordered buffer ~init:[] ~f:(fun acc e -> e :: acc)
+        in
+        let scan (q : Packet.t) =
+          Estimate_delay.n_meetings ~entries ~packet:q ~avg_transfer_bytes:1.0
+          - q.Packet.size
+        in
+        Array.iter
+          (fun q -> expect (Position_index.bytes_before index q = scan q))
+          pool;
+        let visited = ref 0 in
+        Position_index.iter index (fun q ~ahead ->
+            incr visited;
+            expect (Buffer.mem buffer q.Packet.id && ahead = scan q));
+        expect (!visited = Buffer.count buffer)
+      in
+      let mutate () =
+        let buffer, _, _ = sides.(Rng.int rng 2) in
         let p = pool.(Rng.int rng 40) in
-        (match Rng.int rng 20 with
+        let id = p.Packet.id in
+        match Rng.int rng 30 with
         | 0 -> ignore (Buffer.clear buffer)
-        | k when k < 12 ->
-            if not (Buffer.mem buffer p.Packet.id) then
+        | k when k < 5 ->
+            if Buffer.mem buffer id then begin
+              ignore (Buffer.remove buffer id);
               Buffer.add buffer (entry p)
-        | _ -> ignore (Buffer.remove buffer p.Packet.id));
-        if Rng.int rng 3 = 0 then begin
-          let moved = Buffer.epoch buffer <> !synced in
-          expect (Position_index.sync index buffer = moved);
-          synced := Buffer.epoch buffer;
-          expect (not (Position_index.sync index buffer));
-          let entries =
-            Buffer.fold_unordered buffer ~init:[] ~f:(fun acc e -> e :: acc)
-          in
-          let scan (q : Packet.t) =
-            Estimate_delay.n_meetings ~entries ~packet:q
-              ~avg_transfer_bytes:1.0
-            - q.Packet.size
-          in
-          Array.iter
-            (fun q -> expect (Position_index.bytes_before index q = scan q))
-            pool;
-          let visited = ref 0 in
-          Position_index.iter index (fun q ~ahead ->
-              incr visited;
-              expect (Buffer.mem buffer q.Packet.id && ahead = scan q));
-          expect (!visited = Buffer.count buffer)
-        end
+            end
+        | k when k < 18 -> if not (Buffer.mem buffer id) then Buffer.add buffer (entry p)
+        | _ -> ignore (Buffer.remove buffer id)
+      in
+      for _ = 1 to 30 do
+        let m =
+          match Rng.int rng 4 with 0 -> 0 | 1 -> 1 | 2 -> 50 | _ -> Rng.int rng 6
+        in
+        for _ = 1 to m do
+          mutate ()
+        done;
+        let first = Rng.int rng 2 in
+        List.iter
+          (fun side -> if Rng.int rng 4 > 0 then check sides.(side))
+          [ first; 1 - first ]
       done;
       !ok)
 

@@ -78,6 +78,51 @@ let test_buffer_entries_sorted () =
     (Invalid_argument "Buffer.nth_by_id: index out of range") (fun () ->
       ignore (Buffer.nth_by_id b 3))
 
+let test_buffer_entries_radix () =
+  (* [entries] orders by an LSD radix sort on the id, one pass per byte
+     of the largest id. Each round caps the ids so that one to five
+     passes run, with the ids on byte boundaries among them, and scrambles
+     the slot order with removals and re-additions first: [entries] must
+     be the slot-order walk sorted by id, one counted rebuild per call. *)
+  let rng = Rapid_prelude.Rng.create 11 in
+  let rebuilds () =
+    Option.value ~default:0
+      (List.assoc_opt "buffer.rebuilds" (Rapid_obs.Counter.snapshot ()))
+  in
+  let boundary = [ 0; 255; 256; 65_535; 65_536; 1 lsl 24; (1 lsl 24) + 7; 1 lsl 32 ] in
+  List.iter
+    (fun limit ->
+      let ids = Hashtbl.create 64 in
+      List.iter (fun id -> if id < limit then Hashtbl.replace ids id ()) boundary;
+      while Hashtbl.length ids < 80 do
+        Hashtbl.replace ids (Rapid_prelude.Rng.int rng limit) ()
+      done;
+      let ids = Array.of_seq (Hashtbl.to_seq_keys ids) in
+      Array.sort Int.compare ids;
+      Rapid_prelude.Rng.shuffle rng ids;
+      let b = Buffer.create ~capacity:None in
+      let add id = Buffer.add b (entry (packet ~id ~src:0 ~dst:1 ())) in
+      Array.iter add ids;
+      for _ = 1 to 60 do
+        let id = ids.(Rapid_prelude.Rng.int rng (Array.length ids)) in
+        if Buffer.mem b id then ignore (Buffer.remove b id) else add id
+      done;
+      let walk =
+        Buffer.fold_unordered b ~init:[] ~f:(fun acc e -> e :: acc)
+        |> List.sort (fun (x : Buffer.entry) (y : Buffer.entry) ->
+               Int.compare x.packet.Packet.id y.packet.Packet.id)
+      in
+      let before = rebuilds () in
+      let sorted = Buffer.entries b in
+      Alcotest.(check int) "one rebuild per call" (before + 1) (rebuilds ());
+      Alcotest.(check (list int))
+        (Printf.sprintf "id order below %d" limit)
+        (List.map (fun (e : Buffer.entry) -> e.packet.Packet.id) walk)
+        (List.map (fun (e : Buffer.entry) -> e.packet.Packet.id) sorted);
+      Alcotest.(check bool) "the buffered entries themselves" true
+        (List.for_all2 ( == ) walk sorted))
+    [ 256; 65_536; 1 lsl 24; 1 lsl 32; 1 lsl 40 ]
+
 let test_buffer_dst_bytes () =
   (* The incremental per-destination byte totals must track every
      mutation path (add, remove, clear) — RAPID's O(1) queue-position
@@ -1062,9 +1107,142 @@ let prop_nth_by_id_matches_entries =
           agree ())
         ops)
 
+(* The send queue's semantics with eager ordering: each segment sorted
+   whole ([List.sort]; every order here is total), the segments
+   concatenated and walked by a cursor, and the same pop rule (fits the
+   budget, still at the sender, and under [check_peer] not at the
+   receiver), every packet passed over discarded for good. *)
+module Ref_queue = struct
+  type t = { mutable tail : Packet.t list; check_peer : bool }
+
+  let next t (env : Env.t) ~budget =
+    let rec go = function
+      | [] ->
+          t.tail <- [];
+          None
+      | (p : Packet.t) :: rest ->
+          if
+            p.Packet.size <= budget
+            && Buffer.mem env.Env.buffers.(0) p.Packet.id
+            && not (t.check_peer && Env.has_packet env ~node:1 ~packet:p)
+          then begin
+            t.tail <- rest;
+            Some p
+          end
+          else go rest
+    in
+    go t.tail
+end
+
+(* Random plans over a pool of packets with varied sizes and tied
+   creation times, planned from node 0 to node 1 as the queue's three
+   kinds of segment (entries under a total order, decorated items, and
+   runs of plain pushes), then drained at shrinking budgets while the
+   sender loses and regains packets and the receiver gains some. The
+   served sequence, and the call where [None] first comes, must match the
+   eager reference at every step. Budgets are sometimes set to exactly
+   the smallest planned size, which must still be served. *)
+let prop_send_queue_matches_reference =
+  QCheck.Test.make ~name:"send queue = eager reference" ~count:400
+    QCheck.(pair (int_range 0 1_000_000) bool)
+    (fun (seed, check_peer) ->
+      let module Rng = Rapid_prelude.Rng in
+      let rng = Rng.create seed in
+      let env = mk_env () in
+      let pool =
+        Array.init 48 (fun id ->
+            entry ~hops:(Rng.int rng 3)
+              (packet ~id ~src:2 ~dst:3
+                 ~size:(1 + Rng.int rng 24)
+                 ~created:(float_of_int (Rng.int rng 4))
+                 ()))
+      in
+      Array.iter
+        (fun (e : Buffer.entry) ->
+          if Rng.int rng 5 > 0 then Buffer.add env.Env.buffers.(0) e)
+        pool;
+      let by_hops (x : Buffer.entry) (y : Buffer.entry) =
+        match Int.compare x.hops y.hops with
+        | 0 -> Send_queue.by_age x y
+        | n -> n
+      in
+      let by_key (kx, (x : Buffer.entry)) (ky, y) =
+        match Int.compare ky kx with 0 -> Send_queue.by_age x y | n -> n
+      in
+      let q = Send_queue.create () in
+      Send_queue.begin_contact q;
+      Send_queue.begin_plan ~check_peer q env ~sender:0 ~receiver:1;
+      let order = Array.copy pool in
+      Rng.shuffle rng order;
+      let planned = ref [] and at = ref 0 in
+      while !at < Array.length order do
+        let n = min (Array.length order - !at) (1 + Rng.int rng 14) in
+        let seg = Array.to_list (Array.sub order !at n) in
+        at := !at + n;
+        let packets = List.map (fun (e : Buffer.entry) -> e.packet) in
+        let served =
+          match Rng.int rng 4 with
+          | 0 ->
+              Send_queue.push_entries q ~cmp:Send_queue.by_age seg;
+              packets (List.sort Send_queue.by_age seg)
+          | 1 ->
+              Send_queue.push_entries q ~cmp:by_hops seg;
+              packets (List.sort by_hops seg)
+          | 2 ->
+              let items = List.map (fun e -> (Rng.int rng 3, e)) seg in
+              Send_queue.push_items q ~cmp:by_key
+                ~packet:(fun (_, (e : Buffer.entry)) -> e.packet)
+                (fun add -> List.iter add items);
+              List.map (fun (_, (e : Buffer.entry)) -> e.packet)
+                (List.sort by_key items)
+          | _ ->
+              List.iter (fun (p : Packet.t) -> Send_queue.push q p) (packets seg);
+              packets seg
+        in
+        planned := !planned @ served
+      done;
+      Send_queue.finish_plan q;
+      let reference = { Ref_queue.tail = !planned; check_peer } in
+      let min_size =
+        List.fold_left (fun m (p : Packet.t) -> min m p.Packet.size) max_int !planned
+      in
+      let budget = ref (30 + Rng.int rng 200) in
+      let ok = ref true in
+      for _ = 1 to 80 do
+        match Rng.int rng 10 with
+        | 0 | 1 | 2 | 3 | 4 -> (
+            let got = Send_queue.next q env ~sender:0 ~receiver:1 ~budget:!budget in
+            let want = Ref_queue.next reference env ~budget:!budget in
+            match (got, want) with
+            | Some p, Some p' when p == p' ->
+                budget := !budget - p.Packet.size;
+                (* The engine's two outcomes: a delivery retires the
+                   sender's copy, a replication adds the receiver's. *)
+                if Rng.bool rng then ignore (Buffer.remove env.Env.buffers.(0) p.Packet.id)
+                else if not (Buffer.mem env.Env.buffers.(1) p.Packet.id) then
+                  Buffer.add env.Env.buffers.(1) (entry p)
+            | None, None -> ()
+            | _ -> ok := false)
+        | 5 -> budget := max 0 (!budget - Rng.int rng 12)
+        | 6 -> if min_size <= !budget then budget := min_size
+        | 7 -> ignore (Buffer.remove env.Env.buffers.(0) (Rng.int rng 48))
+        | 8 ->
+            let e = pool.(Rng.int rng 48) in
+            if not (Buffer.mem env.Env.buffers.(0) e.packet.Packet.id) then
+              Buffer.add env.Env.buffers.(0) e
+        | _ ->
+            let e = pool.(Rng.int rng 48) in
+            if not (Buffer.mem env.Env.buffers.(1) e.packet.Packet.id) then
+              Buffer.add env.Env.buffers.(1) e
+      done;
+      !ok)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_feasibility; prop_buffer_matches_model; prop_nth_by_id_matches_entries ]
+    [
+      prop_feasibility; prop_buffer_matches_model; prop_nth_by_id_matches_entries;
+      prop_send_queue_matches_reference;
+    ]
 
 let () =
   Alcotest.run "sim"
@@ -1079,6 +1257,7 @@ let () =
           Alcotest.test_case "capacity" `Quick test_buffer_capacity;
           Alcotest.test_case "duplicate" `Quick test_buffer_duplicate;
           Alcotest.test_case "entries sorted" `Quick test_buffer_entries_sorted;
+          Alcotest.test_case "entries radix" `Quick test_buffer_entries_radix;
           Alcotest.test_case "dst bytes tracked" `Quick test_buffer_dst_bytes;
         ] );
       ("acks", [ Alcotest.test_case "ack store" `Quick test_ack_store ]);
